@@ -19,6 +19,9 @@
 //      (small tolerance for timer jitter).
 //   2. batch-of-40 reaches >= 2x legacy serial throughput on at least one
 //      ablation-sized fabric.
+//   3. batch-of-40 `lock` takes at most 1.5x `lock_noiseless` on every
+//      fabric: the same steps with and without jitter, so this bounds what
+//      the Euler-Maruyama noise draw adds to a step.
 //
 // Results land in bench_results/bench_phase_batch.json via BenchJsonWriter.
 //
@@ -30,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -162,75 +166,71 @@ double seconds(const std::function<void()>& body) {
 }
 
 struct Measurement {
-  double legacy_s = 0.0;
-  double batch1_s = 0.0;
-  double batch40_s = 0.0;
+  double legacy_s = 1e100;
+  double batch1_s = 1e100;
+  double batch40_s = 1e100;
   // Keeps the optimizer honest: every engine's final phases fold into this.
   double checksum = 0.0;
 };
 
-Measurement measure(const graph::Graph& g, const Workload& w, int reps) {
+/// Times one repetition of every engine on `w`, keeping the fastest time
+/// of each engine seen so far in `best`.
+void measure(const graph::Graph& g, const Workload& w, Measurement& best) {
   const phase::NetworkParams p = tuned_params(w.noise);
-  Measurement best;
-  best.legacy_s = best.batch1_s = best.batch40_s = 1e100;
-
-  for (int rep = 0; rep < reps; ++rep) {
-    // Legacy: 40 serial networks, stepped replica-major like the old runner.
-    {
-      std::vector<LegacyNetwork> nets;
-      std::vector<util::Rng> rngs;
-      nets.reserve(kReplicas);
-      for (std::size_t r = 0; r < kReplicas; ++r) {
-        nets.emplace_back(g, p);
-        rngs.emplace_back(r + 1);
-        nets[r].randomize_phases(rngs[r]);
-        nets[r].set_couplings_active(true);
-        nets[r].set_shil_active(w.shil);
-      }
-      best.legacy_s = std::min(best.legacy_s, seconds([&] {
-        for (std::size_t r = 0; r < kReplicas; ++r) {
-          for (int s = 0; s < w.steps; ++s) nets[r].step(rngs[r]);
-        }
-      }));
-      for (const auto& net : nets) best.checksum += net.phases().front();
+  // Legacy: 40 serial networks, stepped replica-major like the old runner.
+  {
+    std::vector<LegacyNetwork> nets;
+    std::vector<util::Rng> rngs;
+    nets.reserve(kReplicas);
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      nets.emplace_back(g, p);
+      rngs.emplace_back(r + 1);
+      nets[r].randomize_phases(rngs[r]);
+      nets[r].set_couplings_active(true);
+      nets[r].set_shil_active(w.shil);
     }
-    // Batch-of-1 x 40: the facade configuration.
-    {
-      std::vector<phase::PhaseBatch> nets;
-      std::vector<util::Rng> rngs;
-      nets.reserve(kReplicas);
+    best.legacy_s = std::min(best.legacy_s, seconds([&] {
       for (std::size_t r = 0; r < kReplicas; ++r) {
-        nets.emplace_back(g, p, 1);
-        rngs.emplace_back(r + 1);
-        nets[r].randomize_phases(0, rngs[r]);
-        nets[r].set_couplings_active(0, true);
-        nets[r].set_shil_active(0, w.shil);
+        for (int s = 0; s < w.steps; ++s) nets[r].step(rngs[r]);
       }
-      best.batch1_s = std::min(best.batch1_s, seconds([&] {
-        for (std::size_t r = 0; r < kReplicas; ++r) {
-          util::Rng* rng = &rngs[r];
-          for (int s = 0; s < w.steps; ++s) nets[r].step({rng, 1});
-        }
-      }));
-      for (const auto& net : nets) best.checksum += net.phases(0).front();
-    }
-    // Batch-of-40 through run(): the replica-major solve_batch path.
-    {
-      phase::PhaseBatch batch(g, p, kReplicas);
-      std::vector<util::Rng> rngs;
-      for (std::size_t r = 0; r < kReplicas; ++r) {
-        rngs.emplace_back(r + 1);
-        batch.randomize_phases(r, rngs[r]);
-        batch.set_couplings_active(r, true);
-        batch.set_shil_active(r, w.shil);
-      }
-      best.batch40_s = std::min(best.batch40_s, seconds([&] {
-        batch.run(static_cast<double>(w.steps) * p.dt, rngs);
-      }));
-      best.checksum += batch.phases(0).front();
-    }
+    }));
+    for (const auto& net : nets) best.checksum += net.phases().front();
   }
-  return best;
+  // Batch-of-1 x 40: the facade configuration.
+  {
+    std::vector<phase::PhaseBatch> nets;
+    std::vector<util::Rng> rngs;
+    nets.reserve(kReplicas);
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      nets.emplace_back(g, p, 1);
+      rngs.emplace_back(r + 1);
+      nets[r].randomize_phases(0, rngs[r]);
+      nets[r].set_couplings_active(0, true);
+      nets[r].set_shil_active(0, w.shil);
+    }
+    best.batch1_s = std::min(best.batch1_s, seconds([&] {
+      for (std::size_t r = 0; r < kReplicas; ++r) {
+        util::Rng* rng = &rngs[r];
+        for (int s = 0; s < w.steps; ++s) nets[r].step({rng, 1});
+      }
+    }));
+    for (const auto& net : nets) best.checksum += net.phases(0).front();
+  }
+  // Batch-of-40 through run(): the replica-major solve_batch path.
+  {
+    phase::PhaseBatch batch(g, p, kReplicas);
+    std::vector<util::Rng> rngs;
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      rngs.emplace_back(r + 1);
+      batch.randomize_phases(r, rngs[r]);
+      batch.set_couplings_active(r, true);
+      batch.set_shil_active(r, w.shil);
+    }
+    best.batch40_s = std::min(best.batch40_s, seconds([&] {
+      batch.run(static_cast<double>(w.steps) * p.dt, rngs);
+    }));
+    best.checksum += batch.phases(0).front();
+  }
 }
 
 }  // namespace
@@ -245,10 +245,13 @@ int main(int argc, char** argv) {
       {46, "anneal", 2.0e3, false, 120},         {46, "lock", 2.0e3, true, 120},
       {46, "lock_noiseless", 0.0, true, 120},
   };
-  constexpr int kReps = 3;
+  // Gate 3 divides two timings, so it needs more samples than gates 1-2: on
+  // a shared 4-vCPU host best-of-3 let its ratio swing by +-25% between runs.
+  constexpr int kReps = 7;
   // Timer-jitter allowance for gate 1; the measured margin is far larger.
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kBatchSpeedupGate = 2.0;
+  constexpr double kNoiseOverheadGate = 1.5;
 
   util::TextTable table({"fabric", "regime", "steps", "legacy_ms", "batch1_ms",
                          "batch40_ms", "b1_speedup", "b40_speedup",
@@ -257,16 +260,35 @@ int main(int argc, char** argv) {
   json.meta("replicas", static_cast<double>(kReplicas));
   json.meta("gate",
             "batch1 >= legacy on every row (1.05 jitter tolerance); "
-            "batch40 >= 2x legacy on at least one fabric");
+            "batch40 >= 2x legacy on at least one fabric; "
+            "batch40 lock <= 1.5x lock_noiseless on every fabric");
 
   bool batch1_ok = true;
   double best_b40_speedup = 0.0;
   std::string best_b40_row;
+  // fabric -> regime -> batch40 seconds, for the noise-overhead gate.
+  std::map<std::string, std::map<std::string, double>> b40_by_fabric;
   double sink = 0.0;
 
+  // Repetitions are the outer loop: every row's best-of-kReps is taken
+  // across the whole run, so a slow stretch of a shared host cannot land on
+  // one regime of a fabric and spare its neighbour (gate 3 compares lock
+  // with lock_noiseless).
+  std::vector<graph::Graph> graphs;
   for (const Workload& w : workloads) {
-    const auto g = graph::kings_graph_square(w.side);
-    const Measurement m = measure(g, w, kReps);
+    graphs.push_back(graph::kings_graph_square(w.side));
+  }
+  std::vector<Measurement> measured(workloads.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t k = 0; k < workloads.size(); ++k) {
+      measure(graphs[k], workloads[k], measured[k]);
+    }
+  }
+
+  for (std::size_t k = 0; k < workloads.size(); ++k) {
+    const Workload& w = workloads[k];
+    const graph::Graph& g = graphs[k];
+    const Measurement& m = measured[k];
     sink += m.checksum;
 
     const std::string fabric =
@@ -277,6 +299,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(w.steps) / m.batch40_s;
 
     if (m.batch1_s > m.legacy_s * kSlowdownTolerance) batch1_ok = false;
+    b40_by_fabric[fabric][w.regime] = m.batch40_s;
     if (b40_speedup > best_b40_speedup) {
       best_b40_speedup = b40_speedup;
       best_b40_row = fabric + "/" + w.regime;
@@ -307,6 +330,17 @@ int main(int argc, char** argv) {
 
   json.meta("best_batch40_speedup", best_b40_speedup);
   json.meta("best_batch40_row", best_b40_row);
+  double worst_noise_ratio = 0.0;
+  std::string worst_noise_fabric;
+  for (const auto& [fabric, regimes] : b40_by_fabric) {
+    const double ratio = regimes.at("lock") / regimes.at("lock_noiseless");
+    if (ratio > worst_noise_ratio) {
+      worst_noise_ratio = ratio;
+      worst_noise_fabric = fabric;
+    }
+  }
+  json.meta("worst_batch40_noise_ratio", worst_noise_ratio);
+  json.meta("worst_batch40_noise_fabric", worst_noise_fabric);
 
   std::printf("%s\n", csv ? table.render_csv().c_str()
                           : table.render().c_str());
@@ -328,8 +362,18 @@ int main(int argc, char** argv) {
                  best_b40_speedup, best_b40_row.c_str(), kBatchSpeedupGate);
     failed = true;
   }
+  if (worst_noise_ratio > kNoiseOverheadGate) {
+    std::fprintf(stderr,
+                 "FAIL: batch-of-40 lock is %.2fx lock_noiseless on %s, above "
+                 "the %.1fx gate\n",
+                 worst_noise_ratio, worst_noise_fabric.c_str(),
+                 kNoiseOverheadGate);
+    failed = true;
+  }
   if (failed) return 1;
-  std::printf("gates passed: batch1 never slower; batch40 %.2fx on %s\n",
-              best_b40_speedup, best_b40_row.c_str());
+  std::printf(
+      "gates passed: batch1 never slower; batch40 %.2fx on %s; noisy lock "
+      "<= %.2fx noiseless\n",
+      best_b40_speedup, best_b40_row.c_str(), worst_noise_ratio);
   return 0;
 }

@@ -126,6 +126,11 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)PhaseBatch::refresh_trig$',
     r'(^|::)PhaseBatch::step$',
     r'(^|::)PhaseBatch::step_rk4$',
+    # The per-step noise block and the vector-math kernels behind it and
+    # refresh_trig (src/util/vecmath.cpp): caller-owned buffers only.
+    r'(^|::)Rng::fill_normal$',
+    r'(^|::)sincos_(array|scalar|avx2)$',
+    r'(^|::)box_muller_(array|scalar|avx2|pair)$',
     r'(^|::)VarOrderHeap::\w+$',
 )]
 

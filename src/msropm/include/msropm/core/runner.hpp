@@ -4,10 +4,14 @@
 // being selected as the final solution"; all experiments use 40 iterations).
 //
 // Iterations are embarrassingly parallel: each gets an independent RNG
-// stream derived from the base seed. Workers claim contiguous index ranges of
-// up to `batch_size` iterations and drive each range through ONE
-// MultiStagePottsMachine::solve_batch call, so the fabric is integrated as a
-// replica batch instead of once per trajectory. Because solve_batch is
+// stream derived from the base seed. Workers claim contiguous index windows
+// and drive each window through ONE MultiStagePottsMachine::solve_batch call,
+// so the fabric is integrated as a replica batch instead of once per
+// trajectory. `batch_size` caps the window size: the ceil(iterations /
+// batch_size) windows are rounded up to a multiple of the worker count and
+// the iterations spread evenly over them, so every worker gets the same
+// number of windows (40 iterations at batch 8 on 4 workers run as 8 windows
+// of 5, not 5 windows of 8; a single worker keeps 5 windows of 8). Because solve_batch is
 // bit-identical to serial solves at any width, determinism holds for a fixed
 // (seed, iteration) pair regardless of thread count AND batch size.
 
@@ -53,9 +57,10 @@ struct RunnerOptions {
   std::size_t iterations = 40;    ///< the paper's iteration count
   std::uint64_t seed = 1;
   std::size_t num_threads = 0;    ///< 0 = hardware concurrency
-  /// Replicas per solve_batch call (clamped to >= 1). Results are invariant
-  /// to this knob; it only trades scheduling granularity against the batch
-  /// engine's shared-traversal throughput.
+  /// Most replicas per solve_batch call (clamped to >= 1; windows may be
+  /// smaller to balance workers). Results are invariant to this knob; it
+  /// only trades scheduling granularity against the batch engine's
+  /// shared-traversal throughput.
   std::size_t batch_size = 8;
   /// Cooperative cancellation, polled between batches (a started batch runs
   /// to completion). Default token is inert.

@@ -23,13 +23,22 @@ std::vector<double> RunSummary::stage1_cut_series() const {
 RunSummary run_iterations(const MultiStagePottsMachine& machine,
                           const RunnerOptions& options) {
   const std::size_t iters = options.iterations;
-  const std::size_t batch = std::max<std::size_t>(1, options.batch_size);
+  const std::size_t max_batch = std::max<std::size_t>(1, options.batch_size);
   RunSummary summary;
   summary.iterations.resize(iters);
 
   std::size_t workers = options.num_threads != 0
                             ? options.num_threads
                             : std::max(1u, std::thread::hardware_concurrency());
+  // Balance the windows: round their count up to a multiple of the worker
+  // count, then spread the iterations evenly (40 iterations, batch 8 and 4
+  // workers give 8 windows of 5 instead of 5 windows of 8, which would leave
+  // three workers idle for the last window). One worker keeps the window
+  // count, so its cancellation granularity does not change.
+  std::size_t windows = (iters + max_batch - 1) / max_batch;
+  windows = (windows + workers - 1) / workers * workers;
+  const std::size_t batch =
+      windows == 0 ? max_batch : (iters + windows - 1) / windows;
   workers = std::min(workers, std::max<std::size_t>(1, (iters + batch - 1) / batch));
 
   // Workers claim contiguous [i, i+batch) windows; every claimed window runs

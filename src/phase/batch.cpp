@@ -8,7 +8,7 @@
 
 #include "msropm/obs/obs.hpp"
 #include "msropm/util/fault_injector.hpp"
-#include "trig.hpp"
+#include "msropm/util/vecmath.hpp"
 
 namespace msropm::phase {
 
@@ -17,7 +17,8 @@ namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 // One fused argument reduction for both outputs (cold paths only -- the hot
-// per-step refresh goes through detail::sincos_array, which vectorizes).
+// per-step refresh goes through util::detail::sincos_array, which
+// vectorizes).
 inline void sin_cos(double x, double& s, double& c) {
 #if defined(__GLIBC__)
   ::sincos(x, &s, &c);
@@ -112,6 +113,8 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   weights_dirty_.assign(r_, 1);
   sin_.assign(n_, 0.0);
   cos_.assign(n_, 0.0);
+  noise_.assign(n_, 0.0);
+  noise_scratch_.assign(util::Rng::normal_scratch_size(n_), 0.0);
 }
 
 void PhaseBatch::check_replica(std::size_t r) const {
@@ -258,8 +261,8 @@ void PhaseBatch::rebuild_weights(std::size_t r) const {
 
 void PhaseBatch::refresh_trig(const double* theta) const {
   // The per-step hot spot on ablation-sized fabrics: one bulk sincos pass,
-  // SIMD-dispatched (see trig.hpp for the determinism contract).
-  detail::sincos_array(theta, sin_.data(), cos_.data(), n_);
+  // SIMD-dispatched (see util/vecmath.hpp for the determinism contract).
+  util::detail::sincos_array(theta, sin_.data(), cos_.data(), n_);
 }
 
 void PhaseBatch::derivative_into(std::size_t r, const double* theta,
@@ -341,6 +344,11 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
   const bool shil = shil_active_[r] != 0 && shil_level_[r] > 0.0;
   const bool order2 = params_.shil_order == 2;
   const double* detune = detune_.data() + r * n_;
+  // The replica-step's jitter as one block, drawn before the node loop; the
+  // per-node update below keeps its term order (drift, then noise).
+  const bool noisy = noise_scale > 0.0;
+  if (noisy) rng.fill_normal(noise_, noise_scratch_);
+  const double* noise = noise_.data();
 
   if (!couple && !(shil && order2)) {
     // No trig snapshot needed (the generic-order SHIL path takes raw theta).
@@ -353,12 +361,12 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
         double d = detune[i];
         if (enable[i]) d -= ks * std::sin(order * (theta[i] - psi[i]));
         theta[i] += d * dt;
-        if (noise_scale > 0.0) theta[i] += noise_scale * rng.normal();
+        if (noisy) theta[i] += noise_scale * noise[i];
       }
     } else {
       for (std::size_t i = 0; i < n_; ++i) {
         theta[i] += detune[i] * dt;
-        if (noise_scale > 0.0) theta[i] += noise_scale * rng.normal();
+        if (noisy) theta[i] += noise_scale * noise[i];
       }
     }
     return;
@@ -398,7 +406,7 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
       }
     }
     theta[i] += d * dt;
-    if (noise_scale > 0.0) theta[i] += noise_scale * rng.normal();
+    if (noisy) theta[i] += noise_scale * noise[i];
   }
 }
 
@@ -477,9 +485,10 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     } else {
       rk4_step_replica(r);
       if (noise_scale > 0.0) {
+        rngs[r].fill_normal(noise_, noise_scratch_);
         double* theta = theta_.data() + r * n_;
         for (std::size_t i = 0; i < n_; ++i) {
-          theta[i] += noise_scale * rngs[r].normal();
+          theta[i] += noise_scale * noise_[i];
         }
       }
     }

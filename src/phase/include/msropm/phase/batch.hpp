@@ -20,6 +20,8 @@
 //   * One sincos pass per replica-step fills the per-node sin/cos buffers;
 //     the order-2 SHIL term reuses them through the double-angle identity
 //     (other orders fall back to std::sin).
+//   * One Rng::fill_normal block per noisy replica-step draws the N jitter
+//     values before the node loop (same draws as N normal() calls).
 //   * Per-replica edge masks, SHIL enables/phases, levels, and detune live as
 //     SoA slices because replicas diverge after each stage readout.
 //
@@ -222,6 +224,10 @@ class PhaseBatch {
   // rewritten before each per-replica use, so no state leaks across replicas.
   mutable std::vector<double> sin_, cos_;
   mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;
+  // One replica-step of N(0,1) jitter plus Rng::fill_normal's workspace,
+  // sized at construction so the step kernels never allocate.
+  std::vector<double> noise_;          // N
+  std::vector<double> noise_scratch_;  // Rng::normal_scratch_size(N)
 };
 
 /// Wrap an angle into [0, 2pi).

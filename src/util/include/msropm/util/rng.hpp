@@ -11,7 +11,9 @@
 // reproducibility across standard-library implementations.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace msropm::util {
@@ -49,6 +51,25 @@ class Rng {
 
   /// Standard normal draw (Box-Muller with caching of the second value).
   [[nodiscard]] double normal() noexcept;
+
+  /// Block form of normal(): fills `out` with exactly the values, and leaves
+  /// the generator and the Box-Muller pair cache in exactly the state, of
+  /// out.size() successive normal() calls -- the same raw draws in the same
+  /// order, a pending cached value drained first and a leftover second value
+  /// cached at the end. The uniform pairs are drawn sequentially, then
+  /// log/sqrt/sincos run in bulk (util/vecmath.hpp), so values agree with
+  /// normal() to within libmvec's 4 ulp on AVX2 hosts and bit-for-bit on the
+  /// scalar fallback. `scratch` is caller-owned workspace; one bulk pass
+  /// needs normal_scratch_size(out.size()) doubles, and a smaller scratch
+  /// is processed in chunks (results then depend on its size). Never
+  /// allocates.
+  void fill_normal(std::span<double> out, std::span<double> scratch) noexcept;
+
+  /// Scratch doubles fill_normal needs to transform `n` values in one pass.
+  [[nodiscard]] static constexpr std::size_t normal_scratch_size(
+      std::size_t n) noexcept {
+    return n + 1;
+  }
 
   /// Normal draw with mean/stddev.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;

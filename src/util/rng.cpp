@@ -1,7 +1,9 @@
 #include "msropm/util/rng.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <numbers>
+
+#include "msropm/util/vecmath.hpp"
 
 namespace msropm::util {
 
@@ -80,11 +82,45 @@ double Rng::normal() noexcept {
     u1 = uniform();
   } while (u1 <= 0.0);
   const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(angle);
+  double z = 0.0;
+  detail::box_muller_pair(u1, u2, z, cached_normal_);
   has_cached_normal_ = true;
-  return r * std::cos(angle);
+  return z;
+}
+
+void Rng::fill_normal(std::span<double> out, std::span<double> scratch) noexcept {
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  if (has_cached_normal_ && n > 0) {
+    out[i++] = cached_normal_;
+    has_cached_normal_ = false;
+  }
+  const std::size_t max_pairs = scratch.size() / 2;
+  while (i < n) {
+    if (max_pairs == 0) {  // no room for a pair: the scalar path
+      out[i++] = normal();
+      continue;
+    }
+    // Draw this chunk's uniform pairs in normal()'s order: u1 (rejecting
+    // 0) then u2, pair after pair. The last pair of an odd count yields
+    // one value for `out` and one for the cache.
+    const std::size_t pairs = std::min((n - i + 1) / 2, max_pairs);
+    double* u1 = scratch.data();
+    double* u2 = u1 + pairs;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      do {
+        u1[p] = uniform();
+      } while (u1[p] <= 0.0);
+      u2[p] = uniform();
+    }
+    const std::size_t whole = std::min(pairs, (n - i) / 2);
+    detail::box_muller_array(u1, u2, out.data() + i, whole);
+    i += 2 * whole;
+    if (whole < pairs) {
+      detail::box_muller_pair(u1[whole], u2[whole], out[i++], cached_normal_);
+      has_cached_normal_ = true;
+    }
+  }
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

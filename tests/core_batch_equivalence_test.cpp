@@ -157,9 +157,10 @@ TEST(BatchEquivalence, BatchOfThreeNoiselessRk4) {
 // --- run_iterations invariance ---------------------------------------------
 
 core::RunSummary run_with(const MultiStagePottsMachine& machine,
-                          std::size_t batch_size, std::size_t threads) {
+                          std::size_t batch_size, std::size_t threads,
+                          std::size_t iterations = 12) {
   core::RunnerOptions options;
-  options.iterations = 12;
+  options.iterations = iterations;
   options.seed = 99;
   options.batch_size = batch_size;
   options.num_threads = threads;
@@ -194,6 +195,19 @@ TEST(BatchEquivalence, RunIterationsInvariantToBatchSizeAndThreads) {
   expect_summaries_identical(reference, run_with(machine, 12, 1));
   expect_summaries_identical(reference, run_with(machine, 64, 1));
   expect_summaries_identical(reference, run_with(machine, 4, 3));
+}
+
+TEST(BatchEquivalence, RunIterationsBalancedWindowsInvariantToThreads) {
+  // 13 iterations with batch_size 8 split into windows of 7+6 (1 thread),
+  // 5+5+3 (3 threads) and 4+4+4+1 (4 threads): different partitions of the
+  // index space, identical summaries.
+  const auto g = graph::kings_graph_square(5);
+  const MultiStagePottsMachine machine(
+      g, machine_config(2.0e3, 0.0, phase::Integrator::kEulerMaruyama));
+  const core::RunSummary reference = run_with(machine, 8, 1, 13);
+  EXPECT_EQ(reference.completed, 13u);
+  expect_summaries_identical(reference, run_with(machine, 8, 3, 13));
+  expect_summaries_identical(reference, run_with(machine, 8, 4, 13));
 }
 
 TEST(BatchEquivalence, RunIterationsStopTokenTruncatesToPrefix) {

@@ -150,6 +150,51 @@ TEST(PhaseBatch, BatchOfThreeMatchesSerialRk4WithNoise) {
   expect_batch_matches_serial(3, Integrator::kRk4, 2.0e3);
 }
 
+/// A noisy window of S steps draws exactly S*N normals from each replica's
+/// stream, whichever kernel path the replica takes, so later consumers of
+/// the stream (the reinit randomize_phases) stay aligned with N normal()
+/// calls per step.
+void expect_draw_count(std::size_t replicas, Integrator integrator) {
+  const auto g = graph::kings_graph_square(5);  // N = 25: odd, so the pair
+                                                // cache carries across steps
+  NetworkParams params = tuned_params(2.0e3);
+  params.integrator = integrator;
+  PhaseBatch batch(g, params, replicas);
+  util::Rng setup(5);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    batch.randomize_phases(r, setup);
+    // Cover the fused gather path (r % 3 != 2) and the no-trig path.
+    batch.set_couplings_active(r, r % 3 == 0);
+    batch.set_shil_active(r, r % 3 == 1);
+  }
+  std::vector<util::Rng> rngs;
+  for (std::size_t r = 0; r < replicas; ++r) rngs.emplace_back(500 + r);
+
+  constexpr std::size_t kSteps = 37;
+  batch.run(static_cast<double>(kSteps) * params.dt, rngs);
+
+  for (std::size_t r = 0; r < replicas; ++r) {
+    util::Rng reference(500 + r);
+    for (std::size_t k = 0; k < kSteps * batch.size(); ++k) {
+      (void)reference.normal();
+    }
+    EXPECT_EQ(rngs[r].state(), reference.state()) << "replica " << r;
+    const double want = reference.normal();
+    EXPECT_NEAR(rngs[r].normal(), want, 1e-14 * std::fabs(want))
+        << "replica " << r << ": pair cache out of step";
+  }
+}
+
+TEST(PhaseBatch, NoisyEulerWindowDrawsNNormalsPerStep) {
+  expect_draw_count(1, Integrator::kEulerMaruyama);
+  expect_draw_count(3, Integrator::kEulerMaruyama);
+}
+
+TEST(PhaseBatch, NoisyRk4WindowDrawsNNormalsPerStep) {
+  expect_draw_count(1, Integrator::kRk4);
+  expect_draw_count(3, Integrator::kRk4);
+}
+
 TEST(PhaseBatch, DerivativeIsNegativeEnergyGradient) {
   // dtheta_i = -dE/dtheta_i (scaled by the gains folded into E): check the
   // CSR gather against a central finite difference of coupling_energy.

@@ -137,6 +137,86 @@ TEST(Rng, NormalWithParams) {
   EXPECT_NEAR(sum / n, 5.0, 0.02);
 }
 
+// --- fill_normal: the block form of normal() ------------------------------
+
+/// Relative agreement bound between the block path and scalar normal():
+/// libmvec's log/sin/cos are within 4 ulp, i.e. ~1e-15 relative.
+constexpr double kBlockRelTol = 1e-14;
+
+void expect_close(double got, double want, const char* what, std::size_t n,
+                  std::size_t k) {
+  EXPECT_LE(std::fabs(got - want), kBlockRelTol * std::fabs(want))
+      << what << " n=" << n << " index " << k << ": " << got << " vs " << want;
+}
+
+/// fill_normal(n) must consume the same raw draws as n normal() calls and
+/// leave the generator AND the pair cache where that loop would, with and
+/// without a cached value pending on entry, for empty, odd and even sizes
+/// (1025 also spans many 4-lane vector blocks plus a tail).
+TEST(Rng, FillNormalMatchesScalarLoop) {
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 8u, 1025u}) {
+    for (const bool pending : {false, true}) {
+      Rng block(1234 + n);
+      Rng scalar(1234 + n);
+      if (pending) {  // leave a cached second value behind
+        (void)block.normal();
+        (void)scalar.normal();
+      }
+      std::vector<double> out(n);
+      std::vector<double> scratch(Rng::normal_scratch_size(n));
+      block.fill_normal(out, scratch);
+      for (std::size_t k = 0; k < n; ++k) {
+        expect_close(out[k], scalar.normal(), "value", n, k);
+      }
+      EXPECT_EQ(block.state(), scalar.state()) << "n=" << n;
+      expect_close(block.normal(), scalar.normal(), "next normal()", n, n);
+      EXPECT_EQ(block.state(), scalar.state()) << "n=" << n;
+    }
+  }
+}
+
+TEST(Rng, FillNormalChunksThroughSmallScratch) {
+  // A scratch smaller than normal_scratch_size(n) is processed in chunks
+  // (and one too small for a single pair falls back to normal()); the draws
+  // and the final state are the same.
+  for (const std::size_t scratch_size : {0u, 1u, 6u}) {
+    Rng block(77);
+    Rng scalar(77);
+    std::vector<double> out(25);
+    std::vector<double> scratch(scratch_size);
+    block.fill_normal(out, scratch);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      expect_close(out[k], scalar.normal(), "chunked value", scratch_size, k);
+    }
+    EXPECT_EQ(block.state(), scalar.state());
+    expect_close(block.normal(), scalar.normal(), "chunked next", scratch_size,
+                 out.size());
+  }
+}
+
+TEST(Rng, FillNormalMoments) {
+  Rng r(59);
+  constexpr std::size_t kBlock = 1000;
+  constexpr std::size_t kBlocks = 1000;  // 1e6 draws
+  std::vector<double> out(kBlock);
+  std::vector<double> scratch(Rng::normal_scratch_size(kBlock));
+  double sum = 0.0;
+  double sq = 0.0;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    r.fill_normal(out, scratch);
+    for (const double x : out) {
+      sum += x;
+      sq += x * x;
+    }
+  }
+  const double n = static_cast<double>(kBlock * kBlocks);
+  const double mean = sum / n;
+  const double var = sq / n - mean * mean;
+  // Five standard errors: sd(mean) = 1/sqrt(n) = 1e-3, sd(var) ~ sqrt(2/n).
+  EXPECT_NEAR(mean, 0.0, 5.0e-3);
+  EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / n));
+}
+
 TEST(Rng, BernoulliProbability) {
   Rng r(31);
   int heads = 0;

@@ -1,9 +1,8 @@
-"""Shared data model for msropm-lint backends and rules.
+"""Shared data model for msropm-lint's parser and rules.
 
-Backends (text or clang) produce a list of TranslationUnit objects, each
-holding FunctionModel entries.  Rules consume only this model, so both
-backends feed the exact same rule implementations — the clang backend just
-locates function boundaries more precisely.
+lintlib.textparse turns each source file into a TranslationUnit holding
+FunctionModel entries.  Rules consume only this model, never raw text
+structure.
 """
 
 from __future__ import annotations

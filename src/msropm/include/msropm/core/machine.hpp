@@ -2,7 +2,9 @@
 // The Multi-Stage ROSC Potts Machine (MSROPM) -- the paper's contribution --
 // running on the phase-domain engine.
 //
-// One solve() executes the full divide-and-color flow of Sec. 3.2/Fig. 3:
+// One control sequence executes the full divide-and-color flow of
+// Sec. 3.2/Fig. 3 (solve_batch() is its only implementation; solve() is a
+// batch of one replica):
 //
 //   init       : random oscillator phases (random startup instants + jitter)
 //   stage k:
@@ -34,7 +36,7 @@
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/graph.hpp"
 #include "msropm/model/maxcut.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::core {
@@ -72,13 +74,9 @@ struct MsropmResult {
   [[nodiscard]] model::CutAssignment stage1_cut() const;
 };
 
-/// Called at stage boundaries (for tracing/visualization):
-/// (stage index starting at 1, phase label, network state).
-using StageObserver =
-    std::function<void(unsigned, const char*, const phase::PhaseNetwork&)>;
-
-/// Batched counterpart of StageObserver: the whole replica batch is handed
-/// out at every stage boundary (per-replica phases via batch.phases(r)).
+/// Called once per stage boundary (for tracing/visualization) with the stage
+/// index (0 for init, then 1..m), the phase label, and the whole replica
+/// batch (per-replica phases via batch.phases(r)).
 using BatchStageObserver =
     std::function<void(unsigned, const char*, const phase::PhaseBatch&)>;
 
@@ -89,18 +87,20 @@ class MultiStagePottsMachine {
   [[nodiscard]] const MsropmConfig& config() const noexcept { return config_; }
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
 
-  /// One full multi-stage run with the given RNG (initial phases + jitter).
-  [[nodiscard]] MsropmResult solve(util::Rng& rng,
-                                   const StageObserver& observer = {}) const;
+  /// One full multi-stage run with the given RNG (initial phases + jitter):
+  /// solve_batch() over a single replica, returning its result.
+  [[nodiscard]] MsropmResult solve(
+      util::Rng& rng, const BatchStageObserver& observer = {}) const;
 
   /// Drive rngs.size() independent Monte-Carlo replicas through the full
   /// anneal/lock/readout/reinit stage schedule SIMULTANEOUSLY on one
   /// phase::PhaseBatch: readouts and the P_EN/SHIL_SEL register updates are
   /// applied per replica between the shared integration windows. Replica r
-  /// consumes rngs[r] in exactly the order a serial solve(rngs[r]) would, so
-  /// its trajectory, per-stage bits, and final coloring are bit-identical to
-  /// that serial run at any batch width (hard-gated by
-  /// tests/core_batch_equivalence_test.cpp). Returns one result per replica.
+  /// reads only rngs[r] and its own state, so its trajectory, per-stage bits,
+  /// and final coloring do not depend on the batch width or on the other
+  /// replicas: a batch of R is bit-identical to R batches of one (hard-gated
+  /// by tests/core_batch_equivalence_test.cpp). Returns one result per
+  /// replica.
   [[nodiscard]] std::vector<MsropmResult> solve_batch(
       std::span<util::Rng> rngs, const BatchStageObserver& observer = {}) const;
 

@@ -11,9 +11,10 @@
 // batch_size) windows are rounded up to a multiple of the worker count and
 // the iterations spread evenly over them, so every worker gets the same
 // number of windows (40 iterations at batch 8 on 4 workers run as 8 windows
-// of 5, not 5 windows of 8; a single worker keeps 5 windows of 8). Because solve_batch is
-// bit-identical to serial solves at any width, determinism holds for a fixed
-// (seed, iteration) pair regardless of thread count AND batch size.
+// of 5, not 5 windows of 8; a single worker keeps 5 windows of 8). Because a
+// replica's result from solve_batch does not depend on the batch width or
+// on the other replicas, determinism holds for a fixed (seed, iteration)
+// pair regardless of thread count AND batch size.
 
 #include <cstddef>
 #include <vector>

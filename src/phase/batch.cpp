@@ -517,8 +517,8 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     // Replica-major: replica r's whole window runs back-to-back, keeping its
     // state and fused weights cache-hot across steps. Replica r only ever
     // touches replica-r state and rngs[r], so the trajectories are
-    // bit-identical to the lockstep order (the equivalence gate covers both:
-    // solve_batch windows take this path, its stage observers the other).
+    // bit-identical to the lockstep order (gated at R > 1 by
+    // PhaseBatch.LockstepMatchesReplicaMajorRun in phase_batch_test).
     for (std::size_t r = 0; r < r_ && !interrupted; ++r) {
       for (std::size_t s = 0; s < steps; ++s) {
         if (should_break(s)) {

@@ -29,8 +29,9 @@
 // and rngs[r], with the identical per-replica instruction sequence at every
 // batch width -- so a batch-of-R run is bit-identical to R batch-of-1 runs
 // (hard-gated by tests/core_batch_equivalence_test.cpp). PhaseNetwork
-// (network.hpp) is a thin facade over a PhaseBatch of one replica, so "serial"
-// and "batched" share this single implementation.
+// (network.hpp) is a thin facade over a PhaseBatch of one replica, and
+// MultiStagePottsMachine::solve() is solve_batch() over one replica, so every
+// caller shares this single implementation.
 
 #include <cstdint>
 #include <functional>

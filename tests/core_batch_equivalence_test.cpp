@@ -1,11 +1,12 @@
-// THE batched-solve equivalence gate: a MultiStagePottsMachine::solve_batch
-// of R replicas must be bit-identical to R serial solve() calls consuming the
-// same per-replica RNG streams -- final colorings, per-stage bits/cuts/
-// residuals, AND the full phase vectors at every stage boundary. Exercised
-// across R in {1, 3, 40}, with and without jitter/mismatch, and for both
-// integrators. Also gates core::run_iterations: summaries are invariant to
-// batch_size and thread count, and the stop token truncates to a clean
-// completed prefix.
+// THE replica-independence gate: a MultiStagePottsMachine::solve_batch of R
+// replicas must be bit-identical to R batches of one -- solve() calls
+// consuming the same per-replica RNG streams -- in final colorings,
+// per-stage bits/cuts/residuals, AND the full phase vectors at every stage
+// boundary. A replica's trajectory may therefore never depend on the batch
+// width or on its neighbours. Exercised across R in {1, 3, 40}, with and
+// without jitter/mismatch, and for both integrators. Also gates
+// core::run_iterations: summaries are invariant to batch_size and thread
+// count, and the stop token truncates to a clean completed prefix.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -57,15 +58,15 @@ void expect_results_identical(const MsropmResult& a, const MsropmResult& b,
     ASSERT_EQ(a.stages[s].bits, b.stages[s].bits) << "replica " << replica;
     ASSERT_EQ(a.stages[s].active_edges, b.stages[s].active_edges);
     ASSERT_EQ(a.stages[s].cut_edges, b.stages[s].cut_edges);
-    // Bit-exact, not approximate: the batch path must run the identical
-    // instruction sequence per replica.
+    // Bit-exact, not approximate: every replica must run the identical
+    // instruction sequence at any batch width.
     ASSERT_EQ(a.stages[s].max_lock_residual, b.stages[s].max_lock_residual)
         << "replica " << replica << " stage " << s;
   }
   ASSERT_EQ(a.total_time_s, b.total_time_s);
 }
 
-void expect_batch_equals_serial(std::size_t replicas, double noise,
+void expect_batch_equals_singles(std::size_t replicas, double noise,
                                 double mismatch_hz,
                                 phase::Integrator integrator,
                                 std::uint64_t seed) {
@@ -73,17 +74,19 @@ void expect_batch_equals_serial(std::size_t replicas, double noise,
   const MultiStagePottsMachine machine(
       g, machine_config(noise, mismatch_hz, integrator));
 
-  // Serial reference: R independent solve() calls, each capturing the phase
-  // vector at every stage boundary.
-  std::vector<MsropmResult> serial_results;
-  std::vector<Snapshots> serial_snaps(replicas);
+  // Reference: R independent solve() calls (batches of one), each capturing
+  // its replica's phase vector at every stage boundary.
+  std::vector<MsropmResult> single_results;
+  std::vector<Snapshots> single_snaps(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
     util::Rng rng(seed + 17 * r);
-    Snapshots& snaps = serial_snaps[r];
-    serial_results.push_back(machine.solve(
+    Snapshots& snaps = single_snaps[r];
+    single_results.push_back(machine.solve(
         rng, [&snaps](unsigned stage, const char* label,
-                      const phase::PhaseNetwork& net) {
-          snaps.emplace_back(std::to_string(stage) + ":" + label, net.phases());
+                      const phase::PhaseBatch& batch) {
+          const auto theta = batch.phases(0);
+          snaps.emplace_back(std::to_string(stage) + ":" + label,
+                             std::vector<double>(theta.begin(), theta.end()));
         }));
   }
 
@@ -104,54 +107,54 @@ void expect_batch_equals_serial(std::size_t replicas, double noise,
 
   ASSERT_EQ(batch_results.size(), replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
-    expect_results_identical(serial_results[r], batch_results[r], r);
-    ASSERT_EQ(serial_snaps[r].size(), batch_snaps[r].size());
-    for (std::size_t k = 0; k < serial_snaps[r].size(); ++k) {
-      ASSERT_EQ(serial_snaps[r][k].first, batch_snaps[r][k].first);
-      const auto& ref = serial_snaps[r][k].second;
+    expect_results_identical(single_results[r], batch_results[r], r);
+    ASSERT_EQ(single_snaps[r].size(), batch_snaps[r].size());
+    for (std::size_t k = 0; k < single_snaps[r].size(); ++k) {
+      ASSERT_EQ(single_snaps[r][k].first, batch_snaps[r][k].first);
+      const auto& ref = single_snaps[r][k].second;
       const auto& got = batch_snaps[r][k].second;
       ASSERT_EQ(ref.size(), got.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
         ASSERT_EQ(ref[i], got[i]) << "replica " << r << " boundary "
-                                  << serial_snaps[r][k].first << " node " << i;
+                                  << single_snaps[r][k].first << " node " << i;
       }
     }
   }
 }
 
 TEST(BatchEquivalence, BatchOfOneNoiseEuler) {
-  expect_batch_equals_serial(1, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
+  expect_batch_equals_singles(1, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
                              101);
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiseEuler) {
-  expect_batch_equals_serial(3, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
+  expect_batch_equals_singles(3, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
                              202);
 }
 
 TEST(BatchEquivalence, BatchOfFortyNoiseEuler) {
-  expect_batch_equals_serial(40, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
+  expect_batch_equals_singles(40, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
                              303);
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiselessEuler) {
-  expect_batch_equals_serial(3, 0.0, 0.0, phase::Integrator::kEulerMaruyama,
+  expect_batch_equals_singles(3, 0.0, 0.0, phase::Integrator::kEulerMaruyama,
                              404);
 }
 
 TEST(BatchEquivalence, BatchOfThreeMismatchEuler) {
   // Mismatch draws detune from each replica's stream BEFORE the initial
   // phases; the batch path must preserve that consumption order.
-  expect_batch_equals_serial(3, 2.0e3, 2.0e6,
+  expect_batch_equals_singles(3, 2.0e3, 2.0e6,
                              phase::Integrator::kEulerMaruyama, 505);
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiseRk4) {
-  expect_batch_equals_serial(3, 2.0e3, 0.0, phase::Integrator::kRk4, 606);
+  expect_batch_equals_singles(3, 2.0e3, 0.0, phase::Integrator::kRk4, 606);
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiselessRk4) {
-  expect_batch_equals_serial(3, 0.0, 0.0, phase::Integrator::kRk4, 707);
+  expect_batch_equals_singles(3, 0.0, 0.0, phase::Integrator::kRk4, 707);
 }
 
 // --- run_iterations invariance ---------------------------------------------

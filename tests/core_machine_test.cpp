@@ -158,18 +158,25 @@ TEST(Machine, EightColorExtension) {
 }
 
 TEST(Machine, StageObserverSequence) {
+  // Each stage boundary is reported once for the whole batch, not once per
+  // replica, at every batch width.
   const auto g = graph::kings_graph(3, 3);
   MultiStagePottsMachine machine(g, fast_config());
-  util::Rng rng(9);
-  std::vector<std::string> events;
-  (void)machine.solve(rng, [&events](unsigned stage, const char* label,
-                                     const phase::PhaseNetwork&) {
-    events.push_back(std::to_string(stage) + ":" + label);
-  });
   const std::vector<std::string> expected{
       "0:init",   "1:anneal", "1:lock", "1:reinit",
       "2:anneal", "2:lock"};
-  EXPECT_EQ(events, expected);
+  for (const std::size_t width : {1u, 3u}) {
+    std::vector<util::Rng> rngs;
+    for (std::size_t r = 0; r < width; ++r) rngs.emplace_back(9 + r);
+    std::vector<std::string> events;
+    (void)machine.solve_batch(
+        rngs, [&events, width](unsigned stage, const char* label,
+                               const phase::PhaseBatch& batch) {
+          EXPECT_EQ(batch.num_replicas(), width);
+          events.push_back(std::to_string(stage) + ":" + label);
+        });
+    EXPECT_EQ(events, expected) << "batch width " << width;
+  }
 }
 
 TEST(Machine, Stage1CutAccessor) {

@@ -150,6 +150,48 @@ TEST(PhaseBatch, BatchOfThreeMatchesSerialRk4WithNoise) {
   expect_batch_matches_serial(3, Integrator::kRk4, 2.0e3);
 }
 
+/// run() steps replicas in lockstep when a per-step observer is given and
+/// replica-major otherwise; both loop orders must give bit-identical
+/// trajectories, with and without a SHIL ramp.
+TEST(PhaseBatch, LockstepMatchesReplicaMajorRun) {
+  const auto g = graph::kings_graph_square(5);
+  const NetworkParams params = tuned_params(2.0e3);
+  constexpr std::size_t kReplicas = 3;
+  PhaseBatch lockstep(g, params, kReplicas);
+  for (std::size_t r = 0; r < kReplicas; ++r) {
+    PhaseNetwork unused(g, params);
+    configure_replica(lockstep, r, unused, /*seed=*/3000 + 7 * r);
+  }
+  PhaseBatch replica_major = lockstep;
+
+  std::vector<util::Rng> lockstep_rngs, major_rngs;
+  for (std::size_t r = 0; r < kReplicas; ++r) {
+    lockstep_rngs.emplace_back(77 + r);
+    major_rngs.emplace_back(77 + r);
+  }
+  const GainRamp ramp{0.0, 0.5};
+  const double duration = 40.0 * params.dt;
+  std::size_t observed_steps = 0;
+  const auto count_steps = [&observed_steps](double, const PhaseBatch&) {
+    ++observed_steps;
+  };
+  for (const GainRamp* shil_ramp : {static_cast<const GainRamp*>(nullptr),
+                                    &ramp}) {
+    lockstep.run(duration, lockstep_rngs, shil_ramp, count_steps);
+    replica_major.run(duration, major_rngs, shil_ramp);
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      const auto a = lockstep.phases(r);
+      const auto b = replica_major.phases(r);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i], b[i]) << "ramp " << (shil_ramp != nullptr)
+                              << " replica " << r << " node " << i;
+      }
+      ASSERT_EQ(lockstep_rngs[r].state(), major_rngs[r].state());
+    }
+  }
+  EXPECT_EQ(observed_steps, 80u);
+}
+
 /// A noisy window of S steps draws exactly S*N normals from each replica's
 /// stream, whichever kernel path the replica takes, so later consumers of
 /// the stream (the reinit randomize_phases) stay aligned with N normal()

@@ -13,9 +13,11 @@
 #   Preset             What it adds
 #   ----------------   ------------------------------------------------------
 #   CHECK_ASAN=1       SAT arena/GC + preprocessor + batched phase-engine
-#                      tests rebuilt and rerun under ASan/UBSan (build-asan/)
+#                      + runner tests rebuilt and rerun under ASan/UBSan
+#                      (build-asan/)
 #   CHECK_TSAN=1       portfolio + stop-token + arena cancellation + batched
-#                      runner equivalence tests under TSan (build-tsan/)
+#                      phase-engine, runner equivalence and runner tests
+#                      under TSan (build-tsan/)
 #   CHECK_CHAOS=1      chaos suite (randomized fault schedules, budgets,
 #                      deadline edges) under ASan/UBSan; fault-injected CLI
 #                      matrix (real exits, never a crash); the
@@ -62,13 +64,13 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # exactly where a use-after-free would hide, so these run under ASan/UBSan on
 # demand (the sanitizer presets also enable the solver's internal
 # stale-reference checks via MSROPM_SAT_CHECK_INVARIANTS).
-ARENA_TESTS='sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_preprocess_test|sat_preprocess_equivalence_test|sat_incremental_test|phase_batch_test|core_batch_equivalence_test'
+ARENA_TESTS='sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_preprocess_test|sat_preprocess_equivalence_test|sat_incremental_test|phase_batch_test|core_batch_equivalence_test|core_runner_test'
 if [ "${CHECK_ASAN:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
   cmake -B build-asan -S . -DMSROPM_SANITIZE=ON
   cmake --build build-asan -j "${JOBS}" --target \
     sat_arena_test sat_arena_equivalence_test sat_solver_growth_test \
     sat_preprocess_test sat_preprocess_equivalence_test sat_incremental_test \
-    phase_batch_test core_batch_equivalence_test
+    phase_batch_test core_batch_equivalence_test core_runner_test
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R "^(${ARENA_TESTS})\$"
 fi
@@ -83,9 +85,9 @@ if [ "${CHECK_TSAN:-0}" = "1" ] && [ "${SANITIZE}" != "thread" ]; then
     portfolio_test portfolio_cancel_test util_stop_token_test \
     sat_arena_test sat_arena_equivalence_test sat_solver_growth_test \
     sat_incremental_test obs_test core_batch_equivalence_test \
-    chaos_test util_fault_injector_test
+    chaos_test util_fault_injector_test phase_batch_test core_runner_test
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-    -R "^(portfolio_test|portfolio_cancel_test|util_stop_token_test|sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_incremental_test|obs_test|core_batch_equivalence_test|chaos_test|util_fault_injector_test)\$"
+    -R "^(portfolio_test|portfolio_cancel_test|util_stop_token_test|sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_incremental_test|obs_test|core_batch_equivalence_test|chaos_test|util_fault_injector_test|phase_batch_test|core_runner_test)\$"
 fi
 
 # Chaos preset: the randomized fault-schedule suite is exactly where a

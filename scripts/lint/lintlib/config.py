@@ -123,6 +123,12 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)PhaseBatch::euler_step_replica$',
     r'(^|::)PhaseBatch::rk4_step_replica$',
     r'(^|::)PhaseBatch::derivative_into$',
+    # The lazy P_EN-live CSR rebuild runs inside euler_step_replica and
+    # derivative_into (once per stage per replica); the gather is the inner
+    # loop of both.
+    r'(^|::)PhaseBatch::rebuild_weights$',
+    r'(^|::)PhaseBatch::live_csr$',
+    r'(^|::)PhaseBatch::gather_node$',
     r'(^|::)PhaseBatch::refresh_trig$',
     r'(^|::)PhaseBatch::step$',
     r'(^|::)PhaseBatch::step_rk4$',

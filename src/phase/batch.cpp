@@ -109,6 +109,8 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   couplings_active_.assign(r_, 1);
   shil_active_.assign(r_, 0);
   shil_level_.assign(r_, 1.0);
+  live_offsets_.assign(r_ * (n_ + 1), 0);
+  live_neighbor_.assign(r_ * 2 * m_, 0);
   weights_.assign(r_ * 2 * m_, 0.0);
   weights_dirty_.assign(r_, 1);
   sin_.assign(n_, 0.0);
@@ -225,7 +227,8 @@ void PhaseBatch::set_uniform_shil_phase(std::size_t r, double psi) {
   refresh_shil_trig(r);
 }
 
-void PhaseBatch::set_shil_level(std::size_t r, double level) noexcept {
+void PhaseBatch::set_shil_level(std::size_t r, double level) {
+  check_replica(r);
   shil_level_[r] = std::clamp(level, 0.0, 1.0);
 }
 
@@ -245,18 +248,48 @@ void PhaseBatch::clear_detune(std::size_t r) {
 }
 
 void PhaseBatch::rebuild_weights(std::size_t r) const {
-  // Fused CSR weights: Kc * J_e * mask_e per directed entry. Masked-off edges
-  // become exact 0.0 multiplicands, so the step loop carries no mask branch.
+  // Compact the structural CSR to replica r's P_EN-live entries, keeping node
+  // order and the entry order within each node, with fused weights Kc * J_e.
+  // The gather then carries neither a mask branch nor the cut edges' work,
+  // and stays bit-identical to a walk over every entry with 0.0 weights on
+  // the masked ones (the +-0 argument in batch.hpp).
   const double kc = params_.coupling_gain;
   const double* j = j_.data() + r * m_;
   const std::uint8_t* mask = edge_mask_.data() + r * m_;
+  std::uint32_t* offsets = live_offsets_.data() + r * (n_ + 1);
+  std::uint32_t* neighbor = live_neighbor_.data() + r * 2 * m_;
   double* w = weights_.data() + r * 2 * m_;
-  const std::size_t nnz = 2 * m_;
-  for (std::size_t k = 0; k < nnz; ++k) {
-    const std::uint32_t e = csr_edge_[k];
-    w[k] = mask[e] ? kc * j[e] : 0.0;
+  std::uint32_t live = 0;
+  offsets[0] = 0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::uint32_t k = csr_offsets_[i]; k < csr_offsets_[i + 1]; ++k) {
+      const std::uint32_t e = csr_edge_[k];
+      if (!mask[e]) continue;
+      neighbor[live] = csr_neighbor_[k];
+      w[live++] = kc * j[e];
+    }
+    offsets[i + 1] = live;
   }
   weights_dirty_[r] = 0;
+}
+
+PhaseBatch::LiveCsr PhaseBatch::live_csr(std::size_t r) const {
+  if (weights_dirty_[r]) rebuild_weights(r);
+  return {live_offsets_.data() + r * (n_ + 1),
+          live_neighbor_.data() + r * 2 * m_, weights_.data() + r * 2 * m_};
+}
+
+inline double PhaseBatch::gather_node(const LiveCsr& csr, std::size_t i) const {
+  // sum_j w_ij sin(theta_i - theta_j)
+  //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j.
+  double acc_cos = 0.0;
+  double acc_sin = 0.0;
+  for (std::uint32_t k = csr.offsets[i]; k < csr.offsets[i + 1]; ++k) {
+    const std::uint32_t j = csr.neighbor[k];
+    acc_cos += csr.weight[k] * cos_[j];
+    acc_sin += csr.weight[k] * sin_[j];
+  }
+  return sin_[i] * acc_cos - cos_[i] * acc_sin;
 }
 
 void PhaseBatch::refresh_trig(const double* theta) const {
@@ -277,22 +310,8 @@ void PhaseBatch::derivative_into(std::size_t r, const double* theta,
   if (couple || (shil && order2)) refresh_trig(theta);
 
   if (couple) {
-    if (weights_dirty_[r]) rebuild_weights(r);
-    const double* w = weights_.data() + r * 2 * m_;
-    // Node-major gather: sum_j w_ij sin(theta_i - theta_j)
-    //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j.
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::uint32_t begin = csr_offsets_[i];
-      const std::uint32_t end = csr_offsets_[i + 1];
-      double acc_cos = 0.0;
-      double acc_sin = 0.0;
-      for (std::uint32_t k = begin; k < end; ++k) {
-        const std::uint32_t j = csr_neighbor_[k];
-        acc_cos += w[k] * cos_[j];
-        acc_sin += w[k] * sin_[j];
-      }
-      dtheta[i] -= sin_[i] * acc_cos - cos_[i] * acc_sin;
-    }
+    const LiveCsr csr = live_csr(r);
+    for (std::size_t i = 0; i < n_; ++i) dtheta[i] -= gather_node(csr, i);
   }
 
   if (shil) {
@@ -373,8 +392,7 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
   }
 
   refresh_trig(theta);
-  if (couple && weights_dirty_[r]) rebuild_weights(r);
-  const double* w = weights_.data() + r * 2 * m_;
+  const LiveCsr csr = couple ? live_csr(r) : LiveCsr{};
   const double ks = shil ? params_.shil_gain * shil_level_[r] : 0.0;
   const std::uint8_t* enable = shil_enable_.data() + r * n_;
   const double* ps = shil_sin_.data() + r * n_;
@@ -384,18 +402,7 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
 
   for (std::size_t i = 0; i < n_; ++i) {
     double d = detune[i];
-    if (couple) {
-      const std::uint32_t begin = csr_offsets_[i];
-      const std::uint32_t end = csr_offsets_[i + 1];
-      double acc_cos = 0.0;
-      double acc_sin = 0.0;
-      for (std::uint32_t k = begin; k < end; ++k) {
-        const std::uint32_t j = csr_neighbor_[k];
-        acc_cos += w[k] * cos_[j];
-        acc_sin += w[k] * sin_[j];
-      }
-      d -= sin_[i] * acc_cos - cos_[i] * acc_sin;
-    }
+    if (couple) d -= gather_node(csr, i);
     if (shil && enable[i]) {
       if (order2) {
         const double s2 = 2.0 * sin_[i] * cos_[i];

@@ -15,8 +15,16 @@
 //       sum_j J_ij m_ij sin(theta_i - theta_j)
 //         = sin_i * sum_j w_ij cos_j  -  cos_i * sum_j w_ij sin_j
 //
-//     with fused per-replica weights w_ij = Kc * J_ij * m_ij rebuilt lazily
-//     when a replica's couplings or mask change (once per MSROPM stage).
+//     Each replica keeps a compacted copy of that CSR holding only its
+//     P_EN-live entries (mask on), with fused weights w_ij = Kc * J_ij,
+//     rebuilt lazily when a replica's couplings or mask change (once per
+//     MSROPM stage). Node order and the entry order within a node are the
+//     structural CSR's, so the gather skips exactly the entries whose
+//     product would be an exact zero. That is bit-identical to walking
+//     them: each accumulator starts at +0.0, and in round-to-nearest a sum
+//     that starts at +0.0 is never -0.0, so adding (+-0.0) * cos_j never
+//     changes it -- provided the phases (hence sin/cos) are finite; a NaN
+//     or inf phase would have turned 0 * cos_j into NaN in the full walk.
 //   * One sincos pass per replica-step fills the per-node sin/cos buffers;
 //     the order-2 SHIL term reuses them through the double-angle identity
 //     (other orders fall back to std::sin).
@@ -83,6 +91,7 @@ class PhaseBatch {
 
   // --- state (replica r) -------------------------------------------------
   [[nodiscard]] std::span<const double> phases(std::size_t r) const {
+    check_replica(r);
     return {theta_.data() + r * n_, n_};
   }
   void set_phases(std::size_t r, std::span<const double> phases);
@@ -100,21 +109,26 @@ class PhaseBatch {
   void enable_all_edges(std::size_t r);
   void disable_all_edges(std::size_t r);
   [[nodiscard]] std::span<const std::uint8_t> edge_mask(std::size_t r) const {
+    check_replica(r);
     return {edge_mask_.data() + r * m_, m_};
   }
   /// Global coupling enable (G_EN for B2B blocks).
-  void set_couplings_active(std::size_t r, bool active) noexcept {
+  void set_couplings_active(std::size_t r, bool active) {
+    check_replica(r);
     couplings_active_[r] = active ? 1 : 0;
   }
-  [[nodiscard]] bool couplings_active(std::size_t r) const noexcept {
+  [[nodiscard]] bool couplings_active(std::size_t r) const {
+    check_replica(r);
     return couplings_active_[r] != 0;
   }
 
   // --- SHIL (SHIL_EN / SHIL_SEL) ------------------------------------------
-  void set_shil_active(std::size_t r, bool active) noexcept {
+  void set_shil_active(std::size_t r, bool active) {
+    check_replica(r);
     shil_active_[r] = active ? 1 : 0;
   }
-  [[nodiscard]] bool shil_active(std::size_t r) const noexcept {
+  [[nodiscard]] bool shil_active(std::size_t r) const {
+    check_replica(r);
     return shil_active_[r] != 0;
   }
   void set_shil_enable(std::size_t r, std::span<const std::uint8_t> per_osc);
@@ -122,11 +136,13 @@ class PhaseBatch {
   void set_shil_phases(std::size_t r, std::span<const double> psi);
   void set_uniform_shil_phase(std::size_t r, double psi);
   [[nodiscard]] std::span<const double> shil_phases(std::size_t r) const {
+    check_replica(r);
     return {shil_phase_.data() + r * n_, n_};
   }
   /// Instantaneous SHIL gain multiplier in [0,1] (ramp support).
-  void set_shil_level(std::size_t r, double level) noexcept;
-  [[nodiscard]] double shil_level(std::size_t r) const noexcept {
+  void set_shil_level(std::size_t r, double level);
+  [[nodiscard]] double shil_level(std::size_t r) const {
+    check_replica(r);
     return shil_level_[r];
   }
 
@@ -180,8 +196,21 @@ class PhaseBatch {
   }
 
  private:
+  /// Replica r's slice of the P_EN-live CSR: node i's live entries are
+  /// [offsets[i], offsets[i+1]) into neighbor/weight.
+  struct LiveCsr {
+    const std::uint32_t* offsets = nullptr;   // n+1
+    const std::uint32_t* neighbor = nullptr;  // live entries
+    const double* weight = nullptr;           // Kc * J per live entry
+  };
+
   void check_replica(std::size_t r) const;
   void rebuild_weights(std::size_t r) const;
+  /// Replica r's live CSR, rebuilt first if its couplings or mask changed.
+  [[nodiscard]] LiveCsr live_csr(std::size_t r) const;
+  /// Node i's coupling term sum_j w_ij sin(theta_i - theta_j) over the live
+  /// entries, from the sin_/cos_ snapshot. The one gather loop of the class.
+  [[nodiscard]] double gather_node(const LiveCsr& csr, std::size_t i) const;
   void refresh_trig(const double* theta) const;
   void refresh_shil_trig(std::size_t r);
   /// The per-replica derivative kernel; theta/dtheta point at n_ doubles.
@@ -195,9 +224,9 @@ class PhaseBatch {
   std::size_t m_ = 0;  ///< edges
   std::size_t r_ = 0;  ///< replicas
 
-  // CSR neighbor structure: structural, shared by all replicas. Entry k in
-  // [csr_offsets_[i], csr_offsets_[i+1]) is neighbor csr_neighbor_[k] via
-  // edge csr_edge_[k].
+  // CSR neighbor structure: structural, shared by all replicas, read only by
+  // rebuild_weights. Entry k in [csr_offsets_[i], csr_offsets_[i+1]) is
+  // neighbor csr_neighbor_[k] via edge csr_edge_[k].
   std::vector<std::uint32_t> csr_offsets_;   // n+1
   std::vector<std::uint32_t> csr_neighbor_;  // 2m
   std::vector<std::uint32_t> csr_edge_;      // 2m
@@ -216,10 +245,17 @@ class PhaseBatch {
   std::vector<std::uint8_t> shil_active_;       // R
   std::vector<double> shil_level_;              // R
 
-  // Fused CSR weights w[r*2M + k] = Kc * J * mask, rebuilt lazily (mutable:
-  // derivative() is logically const and rebuilds on first use).
-  mutable std::vector<double> weights_;
-  mutable std::vector<std::uint8_t> weights_dirty_;  // R
+  // Per-replica P_EN-live CSR, rebuilt lazily from the structural CSR, j_
+  // and edge_mask_ (mutable: derivative() is logically const and rebuilds on
+  // first use). Replica r's node i owns live entries
+  // [live_offsets_[r*(N+1) + i], live_offsets_[r*(N+1) + i + 1]) of the
+  // 2M-entry slice r of live_neighbor_ / weights_ (w = Kc * J), packed as a
+  // prefix of the slice. Sized for every entry live at construction, so a
+  // rebuild never allocates.
+  mutable std::vector<std::uint32_t> live_offsets_;   // R*(N+1)
+  mutable std::vector<std::uint32_t> live_neighbor_;  // R*2M
+  mutable std::vector<double> weights_;               // R*2M
+  mutable std::vector<std::uint8_t> weights_dirty_;   // R
 
   // Per-node scratch (mutable: derivative() is logically const). Fully
   // rewritten before each per-replica use, so no state leaks across replicas.

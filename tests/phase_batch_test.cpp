@@ -1,18 +1,21 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
 // against the batch-of-one facade (PhaseNetwork), CSR derivative correctness,
-// energy identities, and argument validation. The full machine-level
-// equivalence gate lives in core_batch_equivalence_test.cpp.
+// the P_EN-pruned gather, energy identities, and argument validation. The
+// full machine-level equivalence gate lives in core_batch_equivalence_test.cpp.
 #include "msropm/phase/batch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "msropm/graph/builders.hpp"
 #include "msropm/phase/network.hpp"
 #include "msropm/util/rng.hpp"
+#include "msropm/util/vecmath.hpp"
 
 namespace {
 
@@ -270,6 +273,137 @@ TEST(PhaseBatch, DerivativeIsNegativeEnergyGradient) {
   }
 }
 
+/// The gather walks only each replica's P_EN-live CSR entries. Cutting edges
+/// from the mask must give, bit for bit, what a fully live mask with J = 0 on
+/// the same edges gives (there the entries stay in the walk as exact-zero
+/// weights): the derivative, a noisy Euler window and an RK4 window. The
+/// mask goes cut -> all live -> cut between windows, so every lazy rebuild
+/// is exercised. The derivative is also checked against a reference sum in
+/// structural CSR order (ascending edge id per node), which pins the order
+/// of the live entries, not just their set.
+TEST(PhaseBatch, PrunedGatherMatchesZeroWeightEntries) {
+  const auto g = graph::kings_graph_square(6);
+  const std::size_t n = g.num_nodes();
+  const std::size_t m = g.num_edges();
+  const auto edges = g.edges();
+  const NetworkParams params = tuned_params(2.0e3);
+  constexpr std::size_t kPruned = 0;
+  constexpr std::size_t kZeroed = 1;
+  PhaseBatch batch(g, params, 2);
+
+  // Stage-2-style P_EN: a random bipartition (a stage-1 readout bit per
+  // node) cuts every edge whose endpoints land on different sides.
+  util::Rng side_rng(11);
+  std::vector<int> side(n);
+  for (auto& b : side) b = side_rng.uniform_phase() < kPi ? 0 : 1;
+  std::vector<std::uint8_t> cut_mask(m, 1);
+  std::vector<double> j_live(m), j_zeroed(m);
+  std::size_t cut = 0;
+  for (std::size_t e = 0; e < m; ++e) {
+    j_live[e] = -1.0 - 0.25 * static_cast<double>(e % 3);
+    j_zeroed[e] = j_live[e];
+    if (side[edges[e].u] != side[edges[e].v]) {
+      cut_mask[e] = 0;
+      j_zeroed[e] = 0.0;
+      ++cut;
+    }
+  }
+  ASSERT_GT(cut, 0u);
+  ASSERT_LT(cut, m);
+
+  util::Rng setup(21);
+  batch.randomize_phases(kPruned, setup);
+  batch.set_phases(kZeroed, batch.phases(kPruned));
+  std::vector<double> psi(n), detune(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    psi[i] = side[i] == 0 ? 0.0 : kPi / 2;
+    detune[i] = 1.0e6 * static_cast<double>(i % 5);
+  }
+  for (const std::size_t r : {kPruned, kZeroed}) {
+    batch.set_shil_phases(r, psi);
+    batch.set_shil_active(r, true);
+    batch.set_shil_level(r, 0.7);
+    batch.set_detune(r, detune);
+  }
+  const auto apply_cut = [&] {
+    batch.set_edge_mask(kPruned, cut_mask);
+    batch.set_edge_couplings(kPruned, j_live);
+    batch.enable_all_edges(kZeroed);
+    batch.set_edge_couplings(kZeroed, j_zeroed);
+  };
+  const auto apply_all_live = [&] {
+    batch.enable_all_edges(kPruned);
+    batch.set_edge_couplings(kZeroed, j_live);
+  };
+
+  std::vector<double> d_pruned(n), d_zeroed(n);
+  const auto expect_same_derivative = [&](const char* when) {
+    batch.derivative(kPruned, batch.phases(kPruned), d_pruned);
+    batch.derivative(kZeroed, batch.phases(kZeroed), d_zeroed);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(d_pruned[i], d_zeroed[i]) << when << " node " << i;
+    }
+  };
+  const auto expect_same_phases = [&](const char* when) {
+    const auto a = batch.phases(kPruned);
+    const auto b = batch.phases(kZeroed);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(a[i], b[i]) << when << " node " << i;
+    }
+  };
+
+  // Reference for the cut derivative with SHIL off: the same sin/cos pass
+  // and per-node sums in structural order, skipping cut edges.
+  const auto expect_structural_order = [&] {
+    batch.set_shil_active(kPruned, false);
+    const auto theta = batch.phases(kPruned);
+    batch.derivative(kPruned, theta, d_pruned);
+    batch.set_shil_active(kPruned, true);
+    std::vector<double> s(n), c(n);
+    util::detail::sincos_array(theta.data(), s.data(), c.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc_cos = 0.0;
+      double acc_sin = 0.0;
+      for (std::size_t e = 0; e < m; ++e) {
+        if (!cut_mask[e] || (edges[e].u != i && edges[e].v != i)) continue;
+        const std::size_t j = edges[e].u == i ? edges[e].v : edges[e].u;
+        const double w = params.coupling_gain * j_live[e];
+        acc_cos += w * c[j];
+        acc_sin += w * s[j];
+      }
+      double want = detune[i];
+      want -= s[i] * acc_cos - c[i] * acc_sin;
+      ASSERT_EQ(d_pruned[i], want) << "node " << i;
+    }
+  };
+
+  std::vector<util::Rng> rngs{util::Rng(31), util::Rng(31)};
+  const double duration = 40.0 * params.dt;
+  const auto rk4_window = [&] {
+    for (int s = 0; s < 40; ++s) batch.step_rk4();
+  };
+
+  apply_cut();
+  expect_same_derivative("cut");
+  expect_structural_order();
+  batch.run(duration, rngs);
+  expect_same_phases("cut, noisy Euler");
+
+  apply_all_live();
+  expect_same_derivative("all live");
+  rk4_window();
+  expect_same_phases("all live, RK4");
+
+  apply_cut();
+  expect_same_derivative("cut again");
+  expect_structural_order();
+  rk4_window();
+  expect_same_phases("cut again, RK4");
+  batch.run(duration, rngs);
+  expect_same_phases("cut again, noisy Euler");
+  ASSERT_EQ(rngs[kPruned].state(), rngs[kZeroed].state());
+}
+
 TEST(PhaseBatch, ReplicaStateIsIsolated) {
   // Mutating replica 0 must not disturb replica 1's trajectory.
   const auto g = graph::kings_graph_square(4);
@@ -321,6 +455,17 @@ TEST(PhaseBatch, ValidatesArguments) {
   std::vector<util::Rng> wrong(1, util::Rng(1));
   EXPECT_THROW(batch.step(wrong), std::invalid_argument);
   EXPECT_THROW(PhaseBatch(g, tuned_params(), 0), std::invalid_argument);
+
+  // Every per-replica accessor checks its index (the batch has replicas 0, 1).
+  EXPECT_THROW((void)batch.phases(2), std::out_of_range);
+  EXPECT_THROW((void)batch.edge_mask(2), std::out_of_range);
+  EXPECT_THROW((void)batch.shil_phases(2), std::out_of_range);
+  EXPECT_THROW(batch.set_couplings_active(2, true), std::out_of_range);
+  EXPECT_THROW((void)batch.couplings_active(2), std::out_of_range);
+  EXPECT_THROW(batch.set_shil_active(2, true), std::out_of_range);
+  EXPECT_THROW((void)batch.shil_active(2), std::out_of_range);
+  EXPECT_THROW(batch.set_shil_level(2, 0.5), std::out_of_range);
+  EXPECT_THROW((void)batch.shil_level(2), std::out_of_range);
 }
 
 }  // namespace

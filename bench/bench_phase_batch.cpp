@@ -9,8 +9,8 @@
 //              derivative, per-edge mask branch, separate per-node
 //              sin/cos/SHIL-sin calls), embedded below verbatim so the
 //              baseline cannot silently drift as the live engine evolves.
-//   batch1  -- 40 independent PhaseBatch(R=1) instances: what the
-//              PhaseNetwork facade runs today.
+//   batch1  -- 40 independent PhaseBatch(R=1) instances: what a
+//              single-trajectory caller (solve(), NShilRopm) runs.
 //   batch40 -- one PhaseBatch(R=40) driven through run(), i.e. the
 //              replica-major batched path used by solve_batch.
 //

@@ -9,11 +9,12 @@
 //
 // Run: ./build/examples/maxcut_ising [iterations] [seed]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 #include "msropm/analysis/experiments.hpp"
-#include "msropm/core/machine.hpp"
+#include "msropm/core/runner.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/model/ising.hpp"
 #include "msropm/model/maxcut.hpp"
@@ -24,6 +25,10 @@ int main(int argc, char** argv) {
   using namespace msropm;
 
   const int iterations = argc > 1 ? std::atoi(argv[1]) : 20;
+  if (iterations < 1) {
+    std::fprintf(stderr, "usage: maxcut_ising [iterations >= 1] [seed]\n");
+    return 2;
+  }
   const std::uint64_t seed =
       argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 11;
 
@@ -38,18 +43,17 @@ int main(int argc, char** argv) {
   std::printf("machine: %u stage(s), %.0f ns per run\n", config.num_stages(),
               config.total_time_s() * 1e9);
 
-  std::size_t best_cut = 0;
-  model::CutAssignment best_sides;
-  util::Rng rng(seed);
-  for (int it = 0; it < iterations; ++it) {
-    const auto result = machine.solve(rng);
-    const auto sides = result.stage1_cut();
-    const std::size_t cut = model::cut_value(g, sides);
-    if (cut > best_cut) {
-      best_cut = cut;
-      best_sides = sides;
-    }
-  }
+  // Best-of-N through the runner: each iteration gets its own stream derived
+  // from the seed, so the result does not depend on the thread count.
+  core::RunnerOptions opts;
+  opts.iterations = static_cast<std::size_t>(iterations);
+  opts.seed = seed;
+  const core::RunSummary summary = core::run_iterations(machine, opts);
+  const auto best = std::max_element(
+      summary.iterations.begin(), summary.iterations.end(),
+      [](const auto& a, const auto& b) { return a.stage1_cut < b.stage1_cut; });
+  const std::size_t best_cut = best->stage1_cut;
+  const model::CutAssignment best_sides = best->result.stage1_cut();
 
   // Baseline: simulated annealing (the reference used by the RTWOIM paper).
   util::Rng sa_rng(seed + 1);

@@ -25,7 +25,7 @@ struct StageSchedule {
   /// init + stages*(anneal + discretize) + (stages-1)*reinit.
   [[nodiscard]] double total_time_s(unsigned num_stages) const noexcept;
 
-  /// Validity: all durations strictly positive.
+  /// Validity: all durations strictly positive and finite.
   [[nodiscard]] bool valid() const noexcept;
 };
 

@@ -1,5 +1,8 @@
 #include "msropm/core/schedule.hpp"
 
+#include <cmath>
+#include <initializer_list>
+
 namespace msropm::core {
 
 double StageSchedule::total_time_s(unsigned num_stages) const noexcept {
@@ -10,7 +13,10 @@ double StageSchedule::total_time_s(unsigned num_stages) const noexcept {
 }
 
 bool StageSchedule::valid() const noexcept {
-  return init_s > 0.0 && anneal_s > 0.0 && discretize_s > 0.0 && reinit_s > 0.0;
+  for (const double window : {init_s, anneal_s, discretize_s, reinit_s}) {
+    if (!std::isfinite(window) || window <= 0.0) return false;
+  }
+  return true;
 }
 
 }  // namespace msropm::core

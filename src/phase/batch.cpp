@@ -453,6 +453,9 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
                      const GainRamp* shil_ramp,
                      const std::function<void(double, const PhaseBatch&)>& observer,
                      const util::StopToken* stop) {
+  if (!std::isfinite(duration)) {
+    throw std::invalid_argument("PhaseBatch::run: duration must be finite");
+  }
   if (duration <= 0.0) return true;
   if (rngs.size() != r_) {
     throw std::invalid_argument("PhaseBatch::run: one Rng per replica");

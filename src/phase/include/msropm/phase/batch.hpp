@@ -1,5 +1,35 @@
 #pragma once
-// Batched structure-of-arrays phase-integration core.
+// Phase-domain model of the coupled-ROSC fabric, integrated as a batch of
+// independent replicas.
+//
+// Each ring oscillator reduces (Adler / Kuramoto reduction, the standard
+// model of the OIM literature the paper builds on [6], [24]) to a single
+// phase theta_i in the frame rotating at the free-running frequency
+// f0 = 1.3 GHz:
+//
+//   dtheta_i/dt = d_i
+//                 - Kc * sum_j J_ij * m_ij * sin(theta_i - theta_j)
+//                 - Ks(t) * e_i * sin(order * (theta_i - psi_i))
+//                 + sigma * xi_i(t)
+//
+//   d_i    : frequency detune (0 for matched oscillators)
+//   J_ij   : per-edge coupling sign/weight; B2B inverters give J = -1
+//   m_ij   : P_EN edge mask (1 = coupling on)
+//   Kc     : coupling gain [rad/s]
+//   Ks(t)  : SHIL injection gain [rad/s], possibly ramped
+//   e_i    : per-oscillator SHIL enable (SHIL_EN & MUX)
+//   psi_i  : per-oscillator SHIL phase offset (SHIL_SEL); order-2 SHIL locks
+//            theta_i at {psi_i, psi_i + pi}
+//   order  : sub-harmonic order (2 for the MSROPM; the ICCAD'24 ROPM [14]
+//            uses order N directly)
+//   xi     : unit white noise modeling oscillator jitter
+//
+// This is gradient flow on
+//   E = - sum_ij J_ij m_ij cos(theta_i - theta_j)
+//       - (Ks/order) sum_i e_i cos(order (theta_i - psi_i))
+// scaled by Kc, so trajectories descend the (vector Potts) energy landscape.
+// Integrators: Euler-Maruyama (stochastic, default) and RK4 (deterministic
+// drift, for convergence tests).
 //
 // The paper's headline experiments are best-of-40 Monte-Carlo sweeps over the
 // SAME graph: every iteration re-integrates the identical coupling network
@@ -36,10 +66,10 @@
 // Determinism contract: replica r of a batch only ever reads replica-r state
 // and rngs[r], with the identical per-replica instruction sequence at every
 // batch width -- so a batch-of-R run is bit-identical to R batch-of-1 runs
-// (hard-gated by tests/core_batch_equivalence_test.cpp). PhaseNetwork
-// (network.hpp) is a thin facade over a PhaseBatch of one replica, and
-// MultiStagePottsMachine::solve() is solve_batch() over one replica, so every
-// caller shares this single implementation.
+// (hard-gated by tests/core_batch_equivalence_test.cpp). A single trajectory
+// is a PhaseBatch of one replica: MultiStagePottsMachine::solve() is
+// solve_batch() over one replica and solvers::NShilRopm steps a batch of one,
+// so every caller shares this single implementation.
 
 #include <cstdint>
 #include <functional>
@@ -162,15 +192,16 @@ class PhaseBatch {
   /// One deterministic RK4 step of params.dt for every replica (noise off).
   void step_rk4();
 
-  /// Integrate every replica for a duration [s] with params.integrator. An
-  /// optional ramp shapes the SHIL level across the window (scaling each
-  /// replica's level set on entry); an optional observer is invoked after
-  /// each step with the elapsed window time. An optional stop token is
-  /// polled every 32 steps (along with the `step` fault site): when it fires
-  /// the window ends early — state is a valid trajectory prefix, ramp levels
-  /// are restored, and the batch stays fully usable — and run() returns
-  /// false. A null/never-firing token changes nothing (bit-identical
-  /// trajectories, the core determinism gate).
+  /// Integrate every replica for a duration [s] with params.integrator (a
+  /// non-positive duration is a no-op; a NaN or infinite one throws
+  /// std::invalid_argument). An optional ramp shapes the SHIL level across
+  /// the window (scaling each replica's level set on entry); an optional
+  /// observer is invoked after each step with the elapsed window time. An
+  /// optional stop token is polled every 32 steps (along with the `step`
+  /// fault site): when it fires the window ends early — state is a valid
+  /// trajectory prefix, ramp levels are restored, and the batch stays fully
+  /// usable — and run() returns false. A null/never-firing token changes
+  /// nothing (bit-identical trajectories, the core determinism gate).
   bool run(double duration, std::span<util::Rng> rngs,
            const GainRamp* shil_ramp = nullptr,
            const std::function<void(double, const PhaseBatch&)>& observer = {},
@@ -180,20 +211,6 @@ class PhaseBatch {
   [[nodiscard]] double coupling_energy(std::size_t r) const;
   /// Replica r's SHIL pinning energy term.
   [[nodiscard]] double shil_energy(std::size_t r) const;
-
-  // --- flat SoA views (all replicas concatenated) --------------------------
-  // For a batch of one these are exactly the per-network vectors, which is
-  // how the PhaseNetwork facade exposes const-reference accessors without
-  // copying.
-  [[nodiscard]] const std::vector<double>& theta_flat() const noexcept {
-    return theta_;
-  }
-  [[nodiscard]] const std::vector<std::uint8_t>& edge_mask_flat() const noexcept {
-    return edge_mask_;
-  }
-  [[nodiscard]] const std::vector<double>& shil_phase_flat() const noexcept {
-    return shil_phase_;
-  }
 
  private:
   /// Replica r's slice of the P_EN-live CSR: node i's live entries are

@@ -11,7 +11,7 @@
 #include "msropm/core/schedule.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/graph.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::solvers {
@@ -36,6 +36,8 @@ struct NShilRopmResult {
 
 class NShilRopm {
  public:
+  /// Throws std::invalid_argument for N < 2 or an init/anneal/lock window
+  /// that is not positive and finite.
   NShilRopm(const graph::Graph& g, NShilRopmConfig config);
 
   [[nodiscard]] const NShilRopmConfig& config() const noexcept { return config_; }

@@ -1,6 +1,10 @@
 #include "msropm/solvers/nshil_ropm.hpp"
 
+#include <cmath>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "msropm/model/potts.hpp"
 #include "msropm/phase/lock.hpp"
@@ -10,32 +14,41 @@ namespace msropm::solvers {
 NShilRopm::NShilRopm(const graph::Graph& g, NShilRopmConfig config)
     : graph_(&g), config_(config) {
   if (config_.num_colors < 2) throw std::invalid_argument("NShilRopm: N >= 2");
+  for (const double window :
+       {config_.init_s, config_.anneal_s, config_.lock_s}) {
+    if (!std::isfinite(window) || window <= 0.0) {
+      throw std::invalid_argument(
+          "NShilRopm: init/anneal/lock windows must be positive and finite");
+    }
+  }
   config_.network.shil_order = config_.num_colors;
 }
 
 NShilRopmResult NShilRopm::solve(util::Rng& rng) const {
-  phase::PhaseNetwork net(*graph_, config_.network);
-  net.set_uniform_coupling(-1.0);
-  net.set_uniform_shil_phase(0.0);
+  phase::PhaseBatch batch(*graph_, config_.network, /*num_replicas=*/1);
+  const std::span<util::Rng> rngs{&rng, 1};
+  batch.set_uniform_coupling(0, -1.0);
+  batch.set_uniform_shil_phase(0, 0.0);
 
   // Init: free-running random phases.
-  net.set_couplings_active(false);
-  net.set_shil_active(false);
-  net.randomize_phases(rng);
-  net.run(config_.init_s, rng);
+  batch.set_couplings_active(0, false);
+  batch.set_shil_active(0, false);
+  batch.randomize_phases(0, rng);
+  batch.run(config_.init_s, rngs);
 
   // Anneal: couplings on, SHIL off.
-  net.enable_all_edges();
-  net.set_couplings_active(true);
-  net.run(config_.anneal_s, rng);
+  batch.enable_all_edges(0);
+  batch.set_couplings_active(0, true);
+  batch.run(config_.anneal_s, rngs);
 
   // Lock: order-N SHIL ramps in, pinning phases at the N Potts spots.
-  net.set_shil_active(true);
-  net.set_shil_level(1.0);
-  net.run(config_.lock_s, rng, &config_.shil_ramp);
+  batch.set_shil_active(0, true);
+  batch.set_shil_level(0, 1.0);
+  batch.run(config_.lock_s, rngs, &config_.shil_ramp);
 
   NShilRopmResult result;
-  const auto& theta = net.phases();
+  const std::vector<double> theta(batch.phases(0).begin(),
+                                  batch.phases(0).end());
   const std::vector<double> zero_psi(theta.size(), 0.0);
   result.max_lock_residual =
       phase::max_lock_residual(theta, zero_psi, config_.num_colors);

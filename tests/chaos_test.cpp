@@ -16,6 +16,7 @@
 // boundary (GC entry, preprocessor pass, batch step, worker attempt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -345,17 +346,25 @@ TEST_F(ChaosTest, PhaseBatchStopBeforeFirstStepLeavesStateUntouched) {
   phase::PhaseBatch batch(g, params, 2);
   std::vector<util::Rng> rngs{util::Rng(1), util::Rng(2)};
   for (std::size_t r = 0; r < 2; ++r) batch.randomize_phases(r, rngs[r]);
-  const std::vector<double> before = batch.theta_flat();
+  // Every replica's phases, concatenated in replica order.
+  const auto snapshot = [&batch] {
+    std::vector<double> all;
+    for (std::size_t r = 0; r < batch.num_replicas(); ++r) {
+      all.insert(all.end(), batch.phases(r).begin(), batch.phases(r).end());
+    }
+    return all;
+  };
+  const std::vector<double> before = snapshot();
 
   util::StopSource source;
   source.request_stop();
   const util::StopToken token = source.token();
   EXPECT_FALSE(batch.run(5e-10, rngs, nullptr, {}, &token));
-  EXPECT_EQ(batch.theta_flat(), before);  // zero steps taken
+  EXPECT_EQ(snapshot(), before);  // zero steps taken
 
   // Cancellation between windows: the batch object is fully reusable.
   EXPECT_TRUE(batch.run(5e-10, rngs));
-  EXPECT_NE(batch.theta_flat(), before);
+  EXPECT_NE(snapshot(), before);
 }
 
 TEST_F(ChaosTest, PhaseBatchNeverFiringTokenIsBitIdentical) {
@@ -372,7 +381,7 @@ TEST_F(ChaosTest, PhaseBatchNeverFiringTokenIsBitIdentical) {
   const util::StopToken token = source.token();
   EXPECT_TRUE(plain.run(2e-9, rngs_a));
   EXPECT_TRUE(tokened.run(2e-9, rngs_b, nullptr, {}, &token));
-  EXPECT_EQ(plain.theta_flat(), tokened.theta_flat());
+  EXPECT_TRUE(std::ranges::equal(plain.phases(0), tokened.phases(0)));
 }
 
 TEST_F(ChaosTest, PhaseBatchStepFaultEndsWindowEarlyAndRestoresLevels) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace {
 
 using msropm::core::StageSchedule;
@@ -43,6 +45,18 @@ TEST(Schedule, Validity) {
   s = StageSchedule{};
   s.init_s = -1e-9;
   EXPECT_FALSE(s.valid());
+  // A NaN or infinite window has no step count in the phase integrator.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (double StageSchedule::*window :
+         {&StageSchedule::init_s, &StageSchedule::anneal_s,
+          &StageSchedule::discretize_s, &StageSchedule::reinit_s}) {
+      s = StageSchedule{};
+      s.*window = bad;
+      EXPECT_FALSE(s.valid()) << bad;
+    }
+  }
 }
 
 TEST(Schedule, CustomDurations) {

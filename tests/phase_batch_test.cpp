@@ -1,5 +1,5 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
-// against the batch-of-one facade (PhaseNetwork), CSR derivative correctness,
+// against independent batches of one, CSR derivative correctness,
 // the P_EN-pruned gather, energy identities, and argument validation. The
 // full machine-level equivalence gate lives in core_batch_equivalence_test.cpp.
 #include "msropm/phase/batch.hpp"
@@ -8,12 +8,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
 
 #include "msropm/graph/builders.hpp"
-#include "msropm/phase/network.hpp"
 #include "msropm/util/rng.hpp"
 #include "msropm/util/vecmath.hpp"
 
@@ -24,7 +24,6 @@ using phase::GainRamp;
 using phase::Integrator;
 using phase::NetworkParams;
 using phase::PhaseBatch;
-using phase::PhaseNetwork;
 
 constexpr double kPi = std::numbers::pi;
 
@@ -37,48 +36,40 @@ NetworkParams tuned_params(double noise = 2.0e3) {
   return p;
 }
 
-/// Give replica r of the batch (and a paired serial network) a diverged
-/// state: phases, mask, SHIL setup and detune all keyed off the replica id.
-void configure_replica(PhaseBatch& batch, std::size_t r, PhaseNetwork& net,
+/// Give slot `slot` of the batch replica r's diverged state: phases, mask,
+/// SHIL setup and detune all keyed off the replica id r, so the same r can
+/// be placed in a wide batch or in a batch of one.
+void configure_replica(PhaseBatch& batch, std::size_t slot, std::size_t r,
                        std::uint64_t seed) {
-  util::Rng rng_batch(seed);
-  util::Rng rng_serial(seed);
-  batch.randomize_phases(r, rng_batch);
-  net.randomize_phases(rng_serial);
+  util::Rng rng(seed);
+  batch.randomize_phases(slot, rng);
 
   const std::size_t m = batch.graph().num_edges();
   std::vector<std::uint8_t> mask(m, 1);
   for (std::size_t e = r % 3; e < m; e += 3) mask[e] = 0;
-  batch.set_edge_mask(r, mask);
-  net.set_edge_mask(mask);
+  batch.set_edge_mask(slot, mask);
 
-  batch.set_uniform_coupling(r, -1.0);
-  net.set_uniform_coupling(-1.0);
-  batch.set_couplings_active(r, true);
-  net.set_couplings_active(true);
+  batch.set_uniform_coupling(slot, -1.0);
+  batch.set_couplings_active(slot, true);
 
   std::vector<double> psi(batch.size());
   for (std::size_t i = 0; i < psi.size(); ++i) {
     psi[i] = (i + r) % 2 == 0 ? 0.0 : kPi / 2;
   }
-  batch.set_shil_phases(r, psi);
-  net.set_shil_phases(psi);
-  batch.set_shil_active(r, true);
-  net.set_shil_active(true);
-  batch.set_shil_level(r, 0.5 + 0.1 * static_cast<double>(r % 4));
-  net.set_shil_level(0.5 + 0.1 * static_cast<double>(r % 4));
+  batch.set_shil_phases(slot, psi);
+  batch.set_shil_active(slot, true);
+  batch.set_shil_level(slot, 0.5 + 0.1 * static_cast<double>(r % 4));
 
   std::vector<double> detune(batch.size());
   for (std::size_t i = 0; i < detune.size(); ++i) {
     detune[i] = 1.0e6 * static_cast<double>((i + r) % 5);
   }
-  batch.set_detune(r, detune);
-  net.set_detune(detune);
+  batch.set_detune(slot, detune);
 }
 
-/// Batch-of-R stepping must be bit-identical to R independent batch-of-one
-/// networks consuming the same per-replica RNG streams — for Euler (with
-/// noise), for RK4, and through a ramped run() window.
+/// Batch-of-R stepping must be bit-identical to R independent batches of one
+/// consuming the same per-replica RNG streams — for Euler (with noise), for
+/// RK4, and through a ramped run() window.
 void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
                                  double noise) {
   const auto g = graph::kings_graph_square(5);
@@ -86,12 +77,13 @@ void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
   params.integrator = integrator;
 
   PhaseBatch batch(g, params, replicas);
-  std::vector<PhaseNetwork> serial;
+  std::vector<PhaseBatch> serial;
   serial.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) serial.emplace_back(g, params);
+  for (std::size_t r = 0; r < replicas; ++r) serial.emplace_back(g, params, 1);
 
   for (std::size_t r = 0; r < replicas; ++r) {
-    configure_replica(batch, r, serial[r], /*seed=*/1000 + 7 * r);
+    configure_replica(batch, r, r, /*seed=*/1000 + 7 * r);
+    configure_replica(serial[r], 0, r, /*seed=*/1000 + 7 * r);
   }
 
   std::vector<util::Rng> batch_rngs, serial_rngs;
@@ -103,11 +95,13 @@ void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
   // Raw steps.
   for (int s = 0; s < 25; ++s) {
     batch.step(batch_rngs);
-    for (std::size_t r = 0; r < replicas; ++r) serial[r].step(serial_rngs[r]);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      serial[r].step({&serial_rngs[r], 1});
+    }
   }
   for (std::size_t r = 0; r < replicas; ++r) {
     const auto theta = batch.phases(r);
-    const auto& ref = serial[r].phases();
+    const auto ref = serial[r].phases(0);
     for (std::size_t i = 0; i < theta.size(); ++i) {
       ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
     }
@@ -118,20 +112,20 @@ void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
   const double duration = 40.0 * params.dt;
   batch.run(duration, batch_rngs, &ramp);
   for (std::size_t r = 0; r < replicas; ++r) {
-    serial[r].run(duration, serial_rngs[r], &ramp);
+    serial[r].run(duration, {&serial_rngs[r], 1}, &ramp);
   }
   for (std::size_t r = 0; r < replicas; ++r) {
     const auto theta = batch.phases(r);
-    const auto& ref = serial[r].phases();
+    const auto ref = serial[r].phases(0);
     for (std::size_t i = 0; i < theta.size(); ++i) {
       ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
     }
-    ASSERT_EQ(batch.coupling_energy(r), serial[r].coupling_energy());
-    ASSERT_EQ(batch.shil_energy(r), serial[r].shil_energy());
+    ASSERT_EQ(batch.coupling_energy(r), serial[r].coupling_energy(0));
+    ASSERT_EQ(batch.shil_energy(r), serial[r].shil_energy(0));
   }
 }
 
-TEST(PhaseBatch, BatchOfOneMatchesFacadeEuler) {
+TEST(PhaseBatch, BatchOfOneMatchesSerialEuler) {
   expect_batch_matches_serial(1, Integrator::kEulerMaruyama, 2.0e3);
 }
 
@@ -162,8 +156,7 @@ TEST(PhaseBatch, LockstepMatchesReplicaMajorRun) {
   constexpr std::size_t kReplicas = 3;
   PhaseBatch lockstep(g, params, kReplicas);
   for (std::size_t r = 0; r < kReplicas; ++r) {
-    PhaseNetwork unused(g, params);
-    configure_replica(lockstep, r, unused, /*seed=*/3000 + 7 * r);
+    configure_replica(lockstep, r, r, /*seed=*/3000 + 7 * r);
   }
   PhaseBatch replica_major = lockstep;
 
@@ -454,6 +447,13 @@ TEST(PhaseBatch, ValidatesArguments) {
                std::invalid_argument);
   std::vector<util::Rng> wrong(1, util::Rng(1));
   EXPECT_THROW(batch.step(wrong), std::invalid_argument);
+  // A window length that is NaN or infinite has no step count.
+  std::vector<util::Rng> rngs(2, util::Rng(1));
+  EXPECT_THROW(batch.run(std::nan(""), rngs), std::invalid_argument);
+  EXPECT_THROW(batch.run(std::numeric_limits<double>::infinity(), rngs),
+               std::invalid_argument);
+  EXPECT_THROW(batch.run(-std::numeric_limits<double>::infinity(), rngs),
+               std::invalid_argument);
   EXPECT_THROW(PhaseBatch(g, tuned_params(), 0), std::invalid_argument);
 
   // Every per-replica accessor checks its index (the batch has replicas 0, 1).

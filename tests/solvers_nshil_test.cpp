@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "msropm/analysis/experiments.hpp"
 #include "msropm/graph/builders.hpp"
@@ -82,6 +84,20 @@ TEST(NShilRopm, RejectsDegenerateColorCount) {
   const auto g = graph::path_graph(2);
   NShilRopmConfig bad = quick_config(1);
   EXPECT_THROW(NShilRopm(g, bad), std::invalid_argument);
+}
+
+TEST(NShilRopm, RejectsNonPositiveOrNonFiniteWindows) {
+  const auto g = graph::path_graph(2);
+  for (const double bad : {0.0, -1e-9, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (double NShilRopmConfig::*window :
+         {&NShilRopmConfig::init_s, &NShilRopmConfig::anneal_s,
+          &NShilRopmConfig::lock_s}) {
+      NShilRopmConfig cfg = quick_config(4);
+      cfg.*window = bad;
+      EXPECT_THROW(NShilRopm(g, cfg), std::invalid_argument) << bad;
+    }
+  }
 }
 
 TEST(NShilRopm, ConfigOverridesNetworkOrder) {

@@ -2,8 +2,9 @@
 //
 // Three engines step the same 40-replica workload on ablation-sized King's
 // fabrics (20x20 / 32x32 / 46x46) across the machine's stage regimes
-// (anneal: couplings only + noise; lock: couplings + SHIL, with and without
-// noise):
+// (anneal: couplings only + noise; anneal_stage2: the same under a
+// stage-2 P_EN mask that leaves ~30% of the couplings live; lock: couplings
+// + SHIL, with and without noise):
 //
 //   legacy  -- the pre-refactor PhaseNetwork inner loops (edge-scatter
 //              derivative, per-edge mask branch, separate per-node
@@ -27,10 +28,12 @@
 //
 // Usage: bench_phase_batch [--csv]
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -72,6 +75,7 @@ class LegacyNetwork {
     for (double& t : theta_) t = rng.uniform_phase();
   }
   void set_couplings_active(bool b) noexcept { couplings_active_ = b; }
+  void set_edge_mask(const std::vector<std::uint8_t>& mask) { edge_mask_ = mask; }
   void set_shil_active(bool b) noexcept { shil_active_ = b; }
 
   void refresh_trig(const std::vector<double>& theta) const {
@@ -143,11 +147,33 @@ constexpr std::size_t kReplicas = 40;
 
 struct Workload {
   std::size_t side;
-  const char* regime;  // "anneal" | "lock" | "lock_noiseless"
+  const char* regime;  // "anneal" | "anneal_stage2" | "lock" | "lock_noiseless"
   double noise;
   bool shil;
   int steps;
+  bool stage2 = false;  // P_EN mask from stage2_mask() instead of all live
 };
+
+/// A stage-2 P_EN mask for a King's fabric, as solve_batch builds it after
+/// stage 1: every edge whose endpoints read out different bits is cut. The
+/// readout splits alternate columns (a 75% cut; the stage-1 anneal cuts ~72%
+/// of the 46x46 Table 1 graph) with a seeded 5% of the nodes flipped, so
+/// ~30% of the edges stay live, mostly vertical ones plus an irregular
+/// remainder like a real readout's.
+std::vector<std::uint8_t> stage2_mask(const graph::Graph& g, std::size_t side) {
+  util::Rng rng(side);
+  std::vector<int> bit(g.num_nodes());
+  for (std::size_t i = 0; i < bit.size(); ++i) {
+    bit[i] = static_cast<int>(i % side % 2);
+    if (rng.uniform() < 0.05) bit[i] ^= 1;
+  }
+  const auto edges = g.edges();
+  std::vector<std::uint8_t> mask(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    mask[e] = bit[edges[e].u] == bit[edges[e].v] ? 1 : 0;
+  }
+  return mask;
+}
 
 phase::NetworkParams tuned_params(double noise) {
   phase::NetworkParams p;
@@ -175,7 +201,8 @@ struct Measurement {
 
 /// Times one repetition of every engine on `w`, keeping the fastest time
 /// of each engine seen so far in `best`.
-void measure(const graph::Graph& g, const Workload& w, Measurement& best) {
+void measure(const graph::Graph& g, const Workload& w,
+             const std::vector<std::uint8_t>& mask, Measurement& best) {
   const phase::NetworkParams p = tuned_params(w.noise);
   // Legacy: 40 serial networks, stepped replica-major like the old runner.
   {
@@ -188,6 +215,7 @@ void measure(const graph::Graph& g, const Workload& w, Measurement& best) {
       nets[r].randomize_phases(rngs[r]);
       nets[r].set_couplings_active(true);
       nets[r].set_shil_active(w.shil);
+      nets[r].set_edge_mask(mask);
     }
     best.legacy_s = std::min(best.legacy_s, seconds([&] {
       for (std::size_t r = 0; r < kReplicas; ++r) {
@@ -207,6 +235,7 @@ void measure(const graph::Graph& g, const Workload& w, Measurement& best) {
       nets[r].randomize_phases(0, rngs[r]);
       nets[r].set_couplings_active(0, true);
       nets[r].set_shil_active(0, w.shil);
+      nets[r].set_edge_mask(0, mask);
     }
     best.batch1_s = std::min(best.batch1_s, seconds([&] {
       for (std::size_t r = 0; r < kReplicas; ++r) {
@@ -225,6 +254,7 @@ void measure(const graph::Graph& g, const Workload& w, Measurement& best) {
       batch.randomize_phases(r, rngs[r]);
       batch.set_couplings_active(r, true);
       batch.set_shil_active(r, w.shil);
+      batch.set_edge_mask(r, mask);
     }
     best.batch40_s = std::min(best.batch40_s, seconds([&] {
       batch.run(static_cast<double>(w.steps) * p.dt, rngs);
@@ -239,10 +269,17 @@ int main(int argc, char** argv) {
   const bool csv = argc > 1 && std::strcmp(argv[1], "--csv") == 0;
 
   const std::vector<Workload> workloads = {
-      {20, "anneal", 2.0e3, false, 250},         {20, "lock", 2.0e3, true, 250},
-      {20, "lock_noiseless", 0.0, true, 250},    {32, "anneal", 2.0e3, false, 160},
-      {32, "lock", 2.0e3, true, 160},            {32, "lock_noiseless", 0.0, true, 160},
-      {46, "anneal", 2.0e3, false, 120},         {46, "lock", 2.0e3, true, 120},
+      {20, "anneal", 2.0e3, false, 250},
+      {20, "anneal_stage2", 2.0e3, false, 250, true},
+      {20, "lock", 2.0e3, true, 250},
+      {20, "lock_noiseless", 0.0, true, 250},
+      {32, "anneal", 2.0e3, false, 160},
+      {32, "anneal_stage2", 2.0e3, false, 160, true},
+      {32, "lock", 2.0e3, true, 160},
+      {32, "lock_noiseless", 0.0, true, 160},
+      {46, "anneal", 2.0e3, false, 120},
+      {46, "anneal_stage2", 2.0e3, false, 120, true},
+      {46, "lock", 2.0e3, true, 120},
       {46, "lock_noiseless", 0.0, true, 120},
   };
   // Gate 3 divides two timings, so it needs more samples than gates 1-2: on
@@ -275,13 +312,16 @@ int main(int argc, char** argv) {
   // one regime of a fabric and spare its neighbour (gate 3 compares lock
   // with lock_noiseless).
   std::vector<graph::Graph> graphs;
+  std::vector<std::vector<std::uint8_t>> masks;
   for (const Workload& w : workloads) {
     graphs.push_back(graph::kings_graph_square(w.side));
+    masks.push_back(w.stage2 ? stage2_mask(graphs.back(), w.side)
+                             : std::vector<std::uint8_t>(graphs.back().num_edges(), 1));
   }
   std::vector<Measurement> measured(workloads.size());
   for (int rep = 0; rep < kReps; ++rep) {
     for (std::size_t k = 0; k < workloads.size(); ++k) {
-      measure(graphs[k], workloads[k], measured[k]);
+      measure(graphs[k], workloads[k], masks[k], measured[k]);
     }
   }
 
@@ -317,6 +357,8 @@ int main(int argc, char** argv) {
     json.metric("side", static_cast<std::uint64_t>(w.side));
     json.metric("nodes", static_cast<std::uint64_t>(g.num_nodes()));
     json.metric("edges", static_cast<std::uint64_t>(g.num_edges()));
+    json.metric("live_edges", static_cast<std::uint64_t>(std::count(
+                                  masks[k].begin(), masks[k].end(), 1)));
     json.metric("regime", w.regime);
     json.metric("noise_stddev", w.noise);
     json.metric("steps", static_cast<std::uint64_t>(w.steps));

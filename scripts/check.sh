@@ -35,9 +35,6 @@
 #                      poll discipline, determinism, hot-path allocation,
 #                      atomics orders) — fails on any unsuppressed finding —
 #                      plus the lint self-test suite
-#   CHECK_TIDY=1       run-clang-tidy with the curated .clang-tidy profile
-#                      over build/compile_commands.json (skips with a notice
-#                      when clang-tidy is not installed)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -205,20 +202,4 @@ fi
 if [ "${CHECK_LINT:-0}" = "1" ]; then
   python3 scripts/lint/tests/test_msropm_lint.py
   python3 scripts/lint/msropm_lint.py src
-fi
-
-# Generic static analysis: curated .clang-tidy profile (bugprone, analyzer,
-# performance, concurrency) over the compilation database the main configure
-# step just exported. Advisory tooling availability: hosts without
-# clang-tidy skip with a notice instead of failing the check.
-if [ "${CHECK_TIDY:-0}" = "1" ]; then
-  if command -v run-clang-tidy >/dev/null 2>&1; then
-    run-clang-tidy -p "${BUILD_DIR}" -quiet "src/.*\.cpp$"
-  elif command -v clang-tidy >/dev/null 2>&1; then
-    find src -name '*.cpp' -print0 |
-      xargs -0 clang-tidy -p "${BUILD_DIR}" --quiet
-  else
-    echo "CHECK_TIDY=1: clang-tidy not installed; skipping (msropm-lint" \
-         "remains the enforced gate — CHECK_LINT=1)"
-  fi
 fi

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
@@ -15,6 +16,9 @@ namespace msropm::phase {
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+// Two doubles in one SIMD register (SSE2 on x86-64).
+using Pair = double __attribute__((vector_size(16)));
 
 // One fused argument reduction for both outputs (cold paths only -- the hot
 // per-step refresh goes through util::detail::sincos_array, which
@@ -109,12 +113,28 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   couplings_active_.assign(r_, 1);
   shil_active_.assign(r_, 0);
   shil_level_.assign(r_, 1.0);
-  live_offsets_.assign(r_ * (n_ + 1), 0);
-  live_neighbor_.assign(r_ * 2 * m_, 0);
-  weights_.assign(r_ * 2 * m_, 0.0);
+  // Slice capacity: every slice as long as its longest structural row, the
+  // all-live size. A live row is never longer than its structural row, so
+  // every rebuild fits.
+  slices_ = (n_ + kSliceLanes - 1) / kSliceLanes;
+  const std::size_t lanes = slices_ * kSliceLanes;
+  for (std::size_t s = 0; s < slices_; ++s) {
+    std::uint32_t width = 0;
+    for (std::size_t i = s * kSliceLanes; i < std::min(n_, (s + 1) * kSliceLanes);
+         ++i) {
+      width = std::max(width, csr_offsets_[i + 1] - csr_offsets_[i]);
+    }
+    slice_capacity_ += kSliceLanes * width;
+  }
+  slice_base_.assign(r_ * (slices_ + 1), 0);
+  slice_neighbor_.assign(r_ * slice_capacity_, 0);
+  slice_weight_.assign(r_ * slice_capacity_, 0.0);
   weights_dirty_.assign(r_, 1);
-  sin_.assign(n_, 0.0);
-  cos_.assign(n_, 0.0);
+  sin_.assign(lanes, 0.0);
+  cos_.assign(lanes, 0.0);
+  coupling_.assign(lanes, 0.0);
+  for (auto* k : {&k1_, &k2_, &k3_, &k4_, &tmp_}) k->assign(n_, 0.0);
+  saved_level_.assign(r_, 0.0);
   noise_.assign(n_, 0.0);
   noise_scratch_.assign(util::Rng::normal_scratch_size(n_), 0.0);
 }
@@ -247,49 +267,83 @@ void PhaseBatch::clear_detune(std::size_t r) {
   std::fill_n(detune_.begin() + r * n_, n_, 0.0);
 }
 
-void PhaseBatch::rebuild_weights(std::size_t r) const {
-  // Compact the structural CSR to replica r's P_EN-live entries, keeping node
-  // order and the entry order within each node, with fused weights Kc * J_e.
-  // The gather then carries neither a mask branch nor the cut edges' work,
-  // and stays bit-identical to a walk over every entry with 0.0 weights on
-  // the masked ones (the +-0 argument in batch.hpp).
+void PhaseBatch::rebuild_slices(std::size_t r) const {
+  // Pack replica r's P_EN-live entries, with fused weights Kc * J_e, into
+  // 4-node slices: node i = 4s + c keeps its live entries in structural CSR
+  // order as lane c of slice s, entry t at base[s] + 4t + c. Lanes shorter
+  // than the slice's longest live row are padded with the node itself at
+  // weight +0.0, which leaves every finite sum bit-identical and keeps a
+  // non-finite phase from reaching any node it does not couple to (the
+  // argument in batch.hpp). Phantom lanes past n_ pad the same way and read
+  // the zero sin/cos of their own phantom slot.
   const double kc = params_.coupling_gain;
   const double* j = j_.data() + r * m_;
   const std::uint8_t* mask = edge_mask_.data() + r * m_;
-  std::uint32_t* offsets = live_offsets_.data() + r * (n_ + 1);
-  std::uint32_t* neighbor = live_neighbor_.data() + r * 2 * m_;
-  double* w = weights_.data() + r * 2 * m_;
-  std::uint32_t live = 0;
-  offsets[0] = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::uint32_t k = csr_offsets_[i]; k < csr_offsets_[i + 1]; ++k) {
-      const std::uint32_t e = csr_edge_[k];
-      if (!mask[e]) continue;
-      neighbor[live] = csr_neighbor_[k];
-      w[live++] = kc * j[e];
+  std::uint32_t* base = slice_base_.data() + r * (slices_ + 1);
+  std::uint32_t* neighbor = slice_neighbor_.data() + r * slice_capacity_;
+  double* w = slice_weight_.data() + r * slice_capacity_;
+  base[0] = 0;
+  for (std::size_t s = 0; s < slices_; ++s) {
+    const std::uint32_t b = base[s];
+    std::uint32_t len[kSliceLanes] = {};
+    for (std::size_t c = 0; c < kSliceLanes; ++c) {
+      const std::size_t i = s * kSliceLanes + c;
+      if (i >= n_) break;
+      for (std::uint32_t k = csr_offsets_[i]; k < csr_offsets_[i + 1]; ++k) {
+        const std::uint32_t e = csr_edge_[k];
+        if (!mask[e]) continue;
+        neighbor[b + kSliceLanes * len[c] + c] = csr_neighbor_[k];
+        w[b + kSliceLanes * len[c] + c] = kc * j[e];
+        ++len[c];
+      }
     }
-    offsets[i + 1] = live;
+    const std::uint32_t width = *std::max_element(len, len + kSliceLanes);
+    for (std::size_t c = 0; c < kSliceLanes; ++c) {
+      for (std::uint32_t t = len[c]; t < width; ++t) {
+        neighbor[b + kSliceLanes * t + c] =
+            static_cast<std::uint32_t>(s * kSliceLanes + c);
+        w[b + kSliceLanes * t + c] = 0.0;
+      }
+    }
+    base[s + 1] = b + static_cast<std::uint32_t>(kSliceLanes) * width;
   }
   weights_dirty_[r] = 0;
 }
 
-PhaseBatch::LiveCsr PhaseBatch::live_csr(std::size_t r) const {
-  if (weights_dirty_[r]) rebuild_weights(r);
-  return {live_offsets_.data() + r * (n_ + 1),
-          live_neighbor_.data() + r * 2 * m_, weights_.data() + r * 2 * m_};
-}
-
-inline double PhaseBatch::gather_node(const LiveCsr& csr, std::size_t i) const {
+void PhaseBatch::gather_coupling(std::size_t r) const {
   // sum_j w_ij sin(theta_i - theta_j)
-  //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j.
-  double acc_cos = 0.0;
-  double acc_sin = 0.0;
-  for (std::uint32_t k = csr.offsets[i]; k < csr.offsets[i + 1]; ++k) {
-    const std::uint32_t j = csr.neighbor[k];
-    acc_cos += csr.weight[k] * cos_[j];
-    acc_sin += csr.weight[k] * sin_[j];
+  //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j,
+  // four nodes at a time: the lanes' accumulator chains are independent, so
+  // their adds overlap instead of serialising one node's row.
+  if (weights_dirty_[r]) rebuild_slices(r);
+  const std::uint32_t* base = slice_base_.data() + r * (slices_ + 1);
+  const std::uint32_t* neighbor = slice_neighbor_.data() + r * slice_capacity_;
+  const double* w = slice_weight_.data() + r * slice_capacity_;
+  static_assert(kSliceLanes == 4, "the walk pairs lanes (0, 1) and (2, 3)");
+  for (std::size_t s = 0; s < slices_; ++s) {
+    // Lanes (0, 1) and (2, 3) share a two-wide vector. Vector mul/add is the
+    // scalar IEEE operation per element, so each lane's sum is exactly the
+    // scalar chain.
+    Pair acc_cos01 = {}, acc_cos23 = {}, acc_sin01 = {}, acc_sin23 = {};
+    for (std::uint32_t k = base[s]; k < base[s + 1]; k += kSliceLanes) {
+      const std::uint32_t* nb = neighbor + k;
+      Pair w01, w23;
+      std::memcpy(&w01, w + k, sizeof w01);
+      std::memcpy(&w23, w + k + 2, sizeof w23);
+      acc_cos01 += w01 * Pair{cos_[nb[0]], cos_[nb[1]]};
+      acc_cos23 += w23 * Pair{cos_[nb[2]], cos_[nb[3]]};
+      acc_sin01 += w01 * Pair{sin_[nb[0]], sin_[nb[1]]};
+      acc_sin23 += w23 * Pair{sin_[nb[2]], sin_[nb[3]]};
+    }
+    const double acc_cos[kSliceLanes] = {acc_cos01[0], acc_cos01[1],
+                                         acc_cos23[0], acc_cos23[1]};
+    const double acc_sin[kSliceLanes] = {acc_sin01[0], acc_sin01[1],
+                                         acc_sin23[0], acc_sin23[1]};
+    for (std::size_t c = 0; c < kSliceLanes; ++c) {
+      const std::size_t i = s * kSliceLanes + c;
+      coupling_[i] = sin_[i] * acc_cos[c] - cos_[i] * acc_sin[c];
+    }
   }
-  return sin_[i] * acc_cos - cos_[i] * acc_sin;
 }
 
 void PhaseBatch::refresh_trig(const double* theta) const {
@@ -310,8 +364,8 @@ void PhaseBatch::derivative_into(std::size_t r, const double* theta,
   if (couple || (shil && order2)) refresh_trig(theta);
 
   if (couple) {
-    const LiveCsr csr = live_csr(r);
-    for (std::size_t i = 0; i < n_; ++i) dtheta[i] -= gather_node(csr, i);
+    gather_coupling(r);
+    for (std::size_t i = 0; i < n_; ++i) dtheta[i] -= coupling_[i];
   }
 
   if (shil) {
@@ -354,9 +408,9 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
   // Fused Euler-Maruyama update: the gather reads only the pre-step sin/cos
   // snapshot (never theta itself), so theta can be advanced in place without
   // materializing the k1 derivative buffer. Term order matches
-  // derivative_into exactly -- the facade and the RK4 path share those
-  // kernels, and bit-identity across batch widths requires identical
-  // per-replica FP sequences, not identical buffers.
+  // derivative_into exactly -- derivative() and the RK4 path go through it,
+  // and bit-identity across batch widths requires identical per-replica FP
+  // sequences, not identical buffers.
   double* theta = theta_.data() + r * n_;
   const double dt = params_.dt;
   const bool couple = couplings_active_[r] != 0;
@@ -392,7 +446,7 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
   }
 
   refresh_trig(theta);
-  const LiveCsr csr = couple ? live_csr(r) : LiveCsr{};
+  if (couple) gather_coupling(r);
   const double ks = shil ? params_.shil_gain * shil_level_[r] : 0.0;
   const std::uint8_t* enable = shil_enable_.data() + r * n_;
   const double* ps = shil_sin_.data() + r * n_;
@@ -402,7 +456,7 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
 
   for (std::size_t i = 0; i < n_; ++i) {
     double d = detune[i];
-    if (couple) d -= gather_node(csr, i);
+    if (couple) d -= coupling_[i];
     if (shil && enable[i]) {
       if (order2) {
         const double s2 = 2.0 * sin_[i] * cos_[i];
@@ -420,11 +474,6 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
 void PhaseBatch::rk4_step_replica(std::size_t r) {
   double* theta = theta_.data() + r * n_;
   const double dt = params_.dt;
-  k1_.resize(n_);
-  k2_.resize(n_);
-  k3_.resize(n_);
-  k4_.resize(n_);
-  tmp_.resize(n_);
   derivative_into(r, theta, k1_.data());
   for (std::size_t i = 0; i < n_; ++i) tmp_[i] = theta[i] + 0.5 * dt * k1_[i];
   derivative_into(r, tmp_.data(), k2_.data());
@@ -481,14 +530,13 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
 
   const bool euler = params_.integrator == Integrator::kEulerMaruyama;
   const double noise_scale = params_.noise_stddev * std::sqrt(dt);
-  std::vector<double> saved_level;
   if (shil_ramp != nullptr) {
-    saved_level.assign(shil_level_.begin(), shil_level_.end());
+    std::copy(shil_level_.begin(), shil_level_.end(), saved_level_.begin());
   }
   const auto step_one = [&](std::size_t r, std::size_t s) {
     if (shil_ramp != nullptr) {
       const double frac = static_cast<double>(s) / static_cast<double>(steps);
-      set_shil_level(r, saved_level[r] * shil_ramp->value(frac));
+      set_shil_level(r, saved_level_[r] * shil_ramp->value(frac));
     }
     if (euler) {
       euler_step_replica(r, rngs[r], noise_scale);
@@ -540,7 +588,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     }
   }
   if (shil_ramp != nullptr) {
-    std::copy(saved_level.begin(), saved_level.end(), shil_level_.begin());
+    std::copy(saved_level_.begin(), saved_level_.end(), shil_level_.begin());
   }
 
   if (obs_gate != 0) {

@@ -45,16 +45,29 @@
 //       sum_j J_ij m_ij sin(theta_i - theta_j)
 //         = sin_i * sum_j w_ij cos_j  -  cos_i * sum_j w_ij sin_j
 //
-//     Each replica keeps a compacted copy of that CSR holding only its
+//     Each replica keeps a sliced-ELL copy of that CSR holding only its
 //     P_EN-live entries (mask on), with fused weights w_ij = Kc * J_ij,
 //     rebuilt lazily when a replica's couplings or mask change (once per
-//     MSROPM stage). Node order and the entry order within a node are the
-//     structural CSR's, so the gather skips exactly the entries whose
-//     product would be an exact zero. That is bit-identical to walking
+//     MSROPM stage). Slice s holds nodes 4s..4s+3; their live entries are
+//     stored column-major, entry t of lane c at base[s] + 4t + c, so the
+//     walk advances four independent accumulator chains (two lanes per
+//     two-wide vector, element-wise the same IEEE operations) instead of one
+//     dependent chain per node. A slice is as long as its longest live
+//     row; shorter rows are padded with (neighbor = the node itself,
+//     weight = +0.0). The last slice is short when N is not a multiple of 4:
+//     its missing lanes are phantom nodes N..4S-1 whose sin/cos stay 0 and
+//     whose sums are discarded.
+//
+//     Within a node the live entries keep the structural CSR order, so each
+//     node sums exactly what a full walk would minus terms whose product is
+//     an exact zero (cut entries and pads). That is bit-identical to walking
 //     them: each accumulator starts at +0.0, and in round-to-nearest a sum
 //     that starts at +0.0 is never -0.0, so adding (+-0.0) * cos_j never
 //     changes it -- provided the phases (hence sin/cos) are finite; a NaN
 //     or inf phase would have turned 0 * cos_j into NaN in the full walk.
+//     A pad reads the node's own sin/cos, so a non-finite phase still
+//     reaches exactly the node itself and its live neighbors: the node's
+//     own result is already NaN through sin_i / cos_i.
 //   * One sincos pass per replica-step fills the per-node sin/cos buffers;
 //     the order-2 SHIL term reuses them through the double-angle identity
 //     (other orders fall back to std::sin).
@@ -213,21 +226,19 @@ class PhaseBatch {
   [[nodiscard]] double shil_energy(std::size_t r) const;
 
  private:
-  /// Replica r's slice of the P_EN-live CSR: node i's live entries are
-  /// [offsets[i], offsets[i+1]) into neighbor/weight.
-  struct LiveCsr {
-    const std::uint32_t* offsets = nullptr;   // n+1
-    const std::uint32_t* neighbor = nullptr;  // live entries
-    const double* weight = nullptr;           // Kc * J per live entry
-  };
+  /// Nodes per slice of the sliced-ELL gather (the SIMD-friendly lane count
+  /// of the four independent accumulator chains).
+  static constexpr std::size_t kSliceLanes = 4;
 
   void check_replica(std::size_t r) const;
-  void rebuild_weights(std::size_t r) const;
-  /// Replica r's live CSR, rebuilt first if its couplings or mask changed.
-  [[nodiscard]] LiveCsr live_csr(std::size_t r) const;
-  /// Node i's coupling term sum_j w_ij sin(theta_i - theta_j) over the live
-  /// entries, from the sin_/cos_ snapshot. The one gather loop of the class.
-  [[nodiscard]] double gather_node(const LiveCsr& csr, std::size_t i) const;
+  /// Rebuild replica r's P_EN-live slices from the structural CSR, j_ and
+  /// edge_mask_.
+  void rebuild_slices(std::size_t r) const;
+  /// Fill coupling_[i] with node i's coupling term
+  /// sum_j w_ij sin(theta_i - theta_j) over replica r's live entries, from
+  /// the sin_/cos_ snapshot (rebuilding the slices first if r is dirty). The
+  /// one gather loop of the class.
+  void gather_coupling(std::size_t r) const;
   void refresh_trig(const double* theta) const;
   void refresh_shil_trig(std::size_t r);
   /// The per-replica derivative kernel; theta/dtheta point at n_ doubles.
@@ -242,7 +253,7 @@ class PhaseBatch {
   std::size_t r_ = 0;  ///< replicas
 
   // CSR neighbor structure: structural, shared by all replicas, read only by
-  // rebuild_weights. Entry k in [csr_offsets_[i], csr_offsets_[i+1]) is
+  // rebuild_slices. Entry k in [csr_offsets_[i], csr_offsets_[i+1]) is
   // neighbor csr_neighbor_[k] via edge csr_edge_[k].
   std::vector<std::uint32_t> csr_offsets_;   // n+1
   std::vector<std::uint32_t> csr_neighbor_;  // 2m
@@ -262,24 +273,30 @@ class PhaseBatch {
   std::vector<std::uint8_t> shil_active_;       // R
   std::vector<double> shil_level_;              // R
 
-  // Per-replica P_EN-live CSR, rebuilt lazily from the structural CSR, j_
-  // and edge_mask_ (mutable: derivative() is logically const and rebuilds on
-  // first use). Replica r's node i owns live entries
-  // [live_offsets_[r*(N+1) + i], live_offsets_[r*(N+1) + i + 1]) of the
-  // 2M-entry slice r of live_neighbor_ / weights_ (w = Kc * J), packed as a
-  // prefix of the slice. Sized for every entry live at construction, so a
-  // rebuild never allocates.
-  mutable std::vector<std::uint32_t> live_offsets_;   // R*(N+1)
-  mutable std::vector<std::uint32_t> live_neighbor_;  // R*2M
-  mutable std::vector<double> weights_;               // R*2M
-  mutable std::vector<std::uint8_t> weights_dirty_;   // R
+  // Per-replica P_EN-live sliced ELL, rebuilt lazily from the structural
+  // CSR, j_ and edge_mask_ (mutable: derivative() is logically const and
+  // rebuilds on first use). Replica r's slice s owns entries
+  // [slice_base_[r*(S+1) + s], slice_base_[r*(S+1) + s + 1]) of the
+  // slice_capacity_-entry slice r of slice_neighbor_ / slice_weight_
+  // (w = Kc * J, pads w = +0.0), packed as a prefix. The capacity is the
+  // all-live padded size, so a rebuild never allocates.
+  std::size_t slices_ = 0;          ///< S = ceil(N / kSliceLanes)
+  std::size_t slice_capacity_ = 0;  ///< entries per replica, all live
+  mutable std::vector<std::uint32_t> slice_base_;      // R*(S+1)
+  mutable std::vector<std::uint32_t> slice_neighbor_;  // R*capacity
+  mutable std::vector<double> slice_weight_;           // R*capacity
+  mutable std::vector<std::uint8_t> weights_dirty_;    // R
 
   // Per-node scratch (mutable: derivative() is logically const). Fully
-  // rewritten before each per-replica use, so no state leaks across replicas.
-  mutable std::vector<double> sin_, cos_;
+  // rewritten before each per-replica use, so no state leaks across
+  // replicas; sin_/cos_/coupling_ span the 4S slice lanes, and the phantom
+  // lanes' sin/cos stay 0. All sized at construction, so the step kernels
+  // never allocate.
+  mutable std::vector<double> sin_, cos_, coupling_;
   mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;
-  // One replica-step of N(0,1) jitter plus Rng::fill_normal's workspace,
-  // sized at construction so the step kernels never allocate.
+  // SHIL levels saved across a ramped run() window.
+  std::vector<double> saved_level_;  // R
+  // One replica-step of N(0,1) jitter plus Rng::fill_normal's workspace.
   std::vector<double> noise_;          // N
   std::vector<double> noise_scratch_;  // Rng::normal_scratch_size(N)
 };

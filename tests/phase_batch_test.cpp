@@ -1,7 +1,8 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
 // against independent batches of one, CSR derivative correctness,
-// the P_EN-pruned gather, energy identities, and argument validation. The
-// full machine-level equivalence gate lives in core_batch_equivalence_test.cpp.
+// the P_EN-pruned sliced gather (slice tails, padding, NaN reach), energy
+// identities, and argument validation. The full machine-level equivalence
+// gate lives in core_batch_equivalence_test.cpp.
 #include "msropm/phase/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "msropm/graph/builders.hpp"
@@ -395,6 +398,198 @@ TEST(PhaseBatch, PrunedGatherMatchesZeroWeightEntries) {
   batch.run(duration, rngs);
   expect_same_phases("cut again, noisy Euler");
   ASSERT_EQ(rngs[kPruned].state(), rngs[kZeroed].state());
+}
+
+/// Test-side model of one replica's coupled drift with SHIL off: the same
+/// sincos pass as the engine, then per node a sum from +0.0 over its live
+/// edges in structural order (ascending edge id), with the engine's term
+/// order. Anything the sliced gather adds beyond that must be an exact zero.
+struct StructuralReference {
+  const graph::Graph* g;
+  std::vector<std::uint8_t> mask;
+  std::vector<double> j;
+  std::vector<double> detune;
+  double kc;
+
+  std::vector<double> derivative(const std::vector<double>& theta) const {
+    const std::size_t n = theta.size();
+    const auto edges = g->edges();
+    std::vector<double> s(n), c(n), acc_cos(n, 0.0), acc_sin(n, 0.0);
+    util::detail::sincos_array(theta.data(), s.data(), c.data(), n);
+    // Edges are canonical (u < v, lexicographic), so visiting them in id
+    // order visits each node's entries in its CSR order.
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (!mask[e]) continue;
+      const double w = kc * j[e];
+      for (const auto& [i, nb] : {std::pair{edges[e].u, edges[e].v},
+                                 std::pair{edges[e].v, edges[e].u}}) {
+        acc_cos[i] += w * c[nb];
+        acc_sin[i] += w * s[nb];
+      }
+    }
+    std::vector<double> d(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      d[i] = detune[i];
+      d[i] -= s[i] * acc_cos[i] - c[i] * acc_sin[i];
+    }
+    return d;
+  }
+
+  void euler_step(std::vector<double>& theta, util::Rng& rng,
+                  const NetworkParams& p) const {
+    const std::size_t n = theta.size();
+    std::vector<double> noise(n), scratch(util::Rng::normal_scratch_size(n));
+    rng.fill_normal(noise, scratch);
+    const double noise_scale = p.noise_stddev * std::sqrt(p.dt);
+    const auto d = derivative(theta);
+    for (std::size_t i = 0; i < n; ++i) {
+      theta[i] += d[i] * p.dt;
+      theta[i] += noise_scale * noise[i];
+    }
+  }
+
+  void rk4_step(std::vector<double>& theta, double dt) const {
+    const std::size_t n = theta.size();
+    std::vector<double> tmp(n);
+    const auto k1 = derivative(theta);
+    for (std::size_t i = 0; i < n; ++i) tmp[i] = theta[i] + 0.5 * dt * k1[i];
+    const auto k2 = derivative(tmp);
+    for (std::size_t i = 0; i < n; ++i) tmp[i] = theta[i] + 0.5 * dt * k2[i];
+    const auto k3 = derivative(tmp);
+    for (std::size_t i = 0; i < n; ++i) tmp[i] = theta[i] + dt * k3[i];
+    const auto k4 = derivative(tmp);
+    for (std::size_t i = 0; i < n; ++i) {
+      theta[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
+  }
+};
+
+/// A stage-2-style P_EN mask: a seeded bipartition cuts every edge whose
+/// endpoints land on different sides, and node `isolated` loses every edge.
+std::vector<std::uint8_t> bipartition_mask(const graph::Graph& g,
+                                           std::uint64_t seed,
+                                           std::size_t isolated) {
+  util::Rng rng(seed);
+  std::vector<int> side(g.num_nodes());
+  for (auto& b : side) b = rng.uniform_phase() < kPi ? 0 : 1;
+  const auto edges = g.edges();
+  std::vector<std::uint8_t> mask(edges.size(), 1);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const bool touches = edges[e].u == isolated || edges[e].v == isolated;
+    if (touches || side[edges[e].u] != side[edges[e].v]) mask[e] = 0;
+  }
+  return mask;
+}
+
+/// The gather packs 4 nodes per slice, so the node count modulo 4 decides
+/// whether the last slice is short. On graphs with N mod 4 in {1, 2, 3}, a
+/// hub whose row is far longer than its slice neighbours' rows
+/// (K_{1,9}), and a node with every entry cut, each replica's derivative, a
+/// noisy Euler window and an RK4 window must equal the structural-order
+/// reference bit for bit.
+TEST(PhaseBatch, SlicedGatherMatchesStructuralOrderAtSliceEdges) {
+  const std::vector<graph::Graph> graphs = {
+      graph::kings_graph(5, 5), graph::kings_graph(5, 6),
+      graph::kings_graph(3, 5), graph::complete_bipartite_graph(1, 9)};
+  const NetworkParams params = tuned_params(2.0e3);
+  constexpr std::size_t kReplicas = 2;
+  for (const graph::Graph& g : graphs) {
+    const std::size_t n = g.num_nodes();
+    const std::size_t m = g.num_edges();
+    SCOPED_TRACE("n = " + std::to_string(n));
+    PhaseBatch batch(g, params, kReplicas);
+    std::vector<StructuralReference> ref;
+    std::vector<std::vector<double>> theta;
+    std::vector<util::Rng> rngs, ref_rngs;
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      // Replica 0 isolates the last node (in the tail slice), replica 1 a
+      // node of the first slice -- the hub of K_{1,9}.
+      StructuralReference rr{&g, bipartition_mask(g, 50 + r, r == 0 ? n - 1 : 0),
+                             std::vector<double>(m), std::vector<double>(n),
+                             params.coupling_gain};
+      for (std::size_t e = 0; e < m; ++e) {
+        rr.j[e] = -1.0 - 0.25 * static_cast<double>((e + r) % 3);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        rr.detune[i] = 1.0e6 * static_cast<double>((i + r) % 5);
+      }
+      batch.set_edge_mask(r, rr.mask);
+      batch.set_edge_couplings(r, rr.j);
+      batch.set_detune(r, rr.detune);
+      util::Rng setup(60 + r);
+      batch.randomize_phases(r, setup);
+      theta.emplace_back(batch.phases(r).begin(), batch.phases(r).end());
+      ref.push_back(std::move(rr));
+      rngs.emplace_back(70 + r);
+      ref_rngs.emplace_back(70 + r);
+    }
+    const auto expect_phases = [&](const char* when) {
+      for (std::size_t r = 0; r < kReplicas; ++r) {
+        const auto got = batch.phases(r);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], theta[r][i]) << when << " replica " << r << " node " << i;
+        }
+      }
+    };
+
+    std::vector<double> d(n);
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      batch.derivative(r, theta[r], d);
+      const auto want = ref[r].derivative(theta[r]);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(d[i], want[i]) << "derivative replica " << r << " node " << i;
+      }
+    }
+
+    constexpr int kSteps = 30;
+    batch.run(kSteps * params.dt, rngs);
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      for (int s = 0; s < kSteps; ++s) ref[r].euler_step(theta[r], ref_rngs[r], params);
+    }
+    expect_phases("noisy Euler");
+
+    for (int s = 0; s < kSteps; ++s) batch.step_rk4();
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      for (int s = 0; s < kSteps; ++s) ref[r].rk4_step(theta[r], params.dt);
+    }
+    expect_phases("RK4");
+  }
+}
+
+/// Pads point at their own node, so a NaN phase on node v reaches, after one
+/// Euler step, exactly v and v's P_EN-live neighbours -- the same set a walk
+/// over only the live entries reaches. A pad aimed anywhere else would leak
+/// the NaN into every node padded with it.
+TEST(PhaseBatch, NonFinitePhaseReachesOnlyLiveNeighbors) {
+  const auto g = graph::kings_graph(3, 5);
+  const std::size_t n = g.num_nodes();
+  const auto edges = g.edges();
+  const auto mask = bipartition_mask(g, 80, n - 1);
+  const NetworkParams params = tuned_params(2.0e3);
+  PhaseBatch batch(g, params, 1);
+  batch.set_edge_mask(0, mask);
+  util::Rng setup(81);
+  batch.randomize_phases(0, setup);
+  const std::vector<double> start(batch.phases(0).begin(), batch.phases(0).end());
+  for (std::size_t v = 0; v < n; ++v) {
+    std::vector<std::uint8_t> want_nan(n, 0);
+    want_nan[v] = 1;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (!mask[e]) continue;
+      if (edges[e].u == v) want_nan[edges[e].v] = 1;
+      if (edges[e].v == v) want_nan[edges[e].u] = 1;
+    }
+    std::vector<double> theta = start;
+    theta[v] = std::numeric_limits<double>::quiet_NaN();
+    batch.set_phases(0, theta);
+    util::Rng rng(82);
+    batch.step({&rng, 1});
+    const auto got = batch.phases(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::isnan(got[i]), want_nan[i] != 0)
+          << "NaN on node " << v << ", node " << i;
+    }
+  }
 }
 
 TEST(PhaseBatch, ReplicaStateIsIsolated) {

@@ -1,12 +1,13 @@
 // SAT preprocessing bench: solve time with vs. without the clause-database
 // preprocessor on the paper's King's-graph 4-coloring encodings and on
 // DIMACS-CNF instances (random 3-SAT generated in-process, plus any .cnf
-// files passed on the command line).
+// files passed on the command line). Each time is the fastest of 5 solves.
 //
 // Usage: bench_sat_preprocess [instance.cnf ...]
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -49,7 +50,7 @@ struct RunOutcome {
   double reduction = 0.0;
 };
 
-RunOutcome run(const sat::Cnf& cnf, sat::SolverOptions options) {
+RunOutcome run_once(const sat::Cnf& cnf, const sat::SolverOptions& options) {
   const double t0 = now_seconds();
   sat::Solver solver(cnf, options);
   RunOutcome out;
@@ -66,12 +67,30 @@ RunOutcome run(const sat::Cnf& cnf, sat::SolverOptions options) {
   return out;
 }
 
+/// Fastest of a few solves: one solve of a small instance takes about a
+/// millisecond, so a single timing is mostly host noise. The solver is
+/// deterministic, so every repeat reaches the same verdict.
+RunOutcome run(const sat::Cnf& cnf, const sat::SolverOptions& options) {
+  constexpr int kReps = 5;
+  RunOutcome best = run_once(cnf, options);
+  for (int rep = 1; rep < kReps; ++rep) {
+    const RunOutcome next = run_once(cnf, options);
+    if (next.seconds < best.seconds) best = next;
+  }
+  return best;
+}
+
 void bench_instance(util::TextTable& table, util::BenchJsonWriter& json,
                     const std::string& name, const sat::Cnf& cnf,
                     sat::SolverOptions pre_options) {
   pre_options.presimplify = true;
   const RunOutcome plain = run(cnf, sat::SolverOptions{});
   const RunOutcome pre = run(cnf, pre_options);
+  if (pre.result != plain.result) {
+    std::fprintf(stderr, "FATAL: %s: presimplify verdict %s, plain %s\n",
+                 name.c_str(), result_name(pre.result), result_name(plain.result));
+    std::exit(1);
+  }
   table.add_row({name, std::to_string(cnf.num_vars()),
                  std::to_string(cnf.num_clauses()),
                  std::to_string(pre.simplified_clauses),

@@ -14,10 +14,19 @@ direction:
   lower-better  (regression = new > base * (1 + threshold)):
       *_ms, *_ns, *_us, alloc_*, *_words, conflicts, propagations, decisions
   higher-better (regression = new < base * (1 - threshold)):
-      speedup, vs_best_single, decided
+      speedup, vs_best_single, decided, *accuracy*, exact_fraction
   informational (never gated): everything else, e.g. counts that describe
       the workload rather than the implementation (clauses, instances,
       workers, reps).
+
+A metric whose row also carries "<metric>_samples" (one value per seed,
+e.g. bench_table1's per-seed accuracies) is judged statistically instead of
+by --threshold: a one-sided Welch test over the two sample lists must put
+the 99% lower confidence bound of (new - base) at or above -margin
+(non-inferiority). The margin is 0.005 for accuracies, half the last digit
+the paper prints in Table 1, and 0.05 for exact_fraction. A sample list
+present on one side only is a failure: the statistical judgement cannot be
+made, and a silently dropped series is how a quality loss would hide.
 
 Timing rows below --min-time-ms in BOTH trees are informational regardless of
 direction: sub-millisecond wall times are noise-dominated.
@@ -43,6 +52,7 @@ Exit codes: 0 = no gated regression, 1 = regression or missing row,
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +60,9 @@ import sys
 LOWER_BETTER_SUFFIXES = ("_ms", "_ns", "_us", "_words")
 LOWER_BETTER_PREFIXES = ("alloc_",)
 LOWER_BETTER_EXACT = {"conflicts", "propagations", "decisions"}
-HIGHER_BETTER = {"speedup", "vs_best_single", "decided"}
+HIGHER_BETTER = {"speedup", "vs_best_single", "decided", "exact_fraction"}
+SAMPLES_SUFFIX = "_samples"
+NONINFERIORITY_CONFIDENCE = 0.99
 
 
 class SchemaError(Exception):
@@ -65,7 +77,7 @@ def is_timing(metric):
 
 def classify(metric):
     """Return 'lower', 'higher', or 'info' for a metric name."""
-    if metric in HIGHER_BETTER:
+    if metric in HIGHER_BETTER or "accuracy" in metric:
         return "higher"
     if metric in LOWER_BETTER_EXACT:
         return "lower"
@@ -74,6 +86,98 @@ def classify(metric):
     if metric.startswith(LOWER_BETTER_PREFIXES):
         return "lower"
     return "info"
+
+
+def noninferiority_margin(metric):
+    """Tolerated loss of a sampled metric's mean, or None when the metric
+    has no statistical rule."""
+    if metric == "exact_fraction":
+        return 0.05
+    if "accuracy" in metric:
+        return 0.005
+    return None
+
+
+def betainc_reg(a, b, x):
+    """Regularized incomplete beta I_x(a, b) by Lentz's continued fraction
+    (Numerical Recipes betai/betacf)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - betainc_reg(b, a, 1.0 - x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 300):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return front * h / a
+
+
+def student_t_quantile(p, df):
+    """Quantile of Student's t with (possibly fractional) df, for p > 0.5,
+    by bisection on the CDF 1 - I_{df/(df+t^2)}(df/2, 1/2) / 2."""
+    lo, hi = 0.0, 1e4
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        cdf = 1.0 - 0.5 * betainc_reg(df / 2.0, 0.5, df / (df + t * t))
+        lo, hi = (t, hi) if cdf < p else (lo, t)
+    return 0.5 * (lo + hi)
+
+
+def welch_lower_bound(base, new, confidence):
+    """(mean(new) - mean(base), its one-sided lower confidence bound) by
+    Welch's test: unequal variances, Welch-Satterthwaite df."""
+    def mean_var(xs):
+        m = sum(xs) / len(xs)
+        return m, sum((x - m) ** 2 for x in xs) / (len(xs) - 1)
+    mb, vb = mean_var(base)
+    mn, vn = mean_var(new)
+    sb, sn = vb / len(base), vn / len(new)
+    diff = mn - mb
+    if sb + sn == 0.0:
+        return diff, diff
+    df = (sb + sn) ** 2 / (sb ** 2 / (len(base) - 1) + sn ** 2 / (len(new) - 1))
+    return diff, diff - student_t_quantile(confidence, df) * math.sqrt(sb + sn)
+
+
+def judge_samples(metric, base_row, new_row):
+    """Non-inferiority verdict for a sampled metric: (line, regression)."""
+    key = metric + SAMPLES_SUFFIX
+    if key not in base_row or key not in new_row:
+        side = "new" if key in base_row else "base"
+        return (f"{metric}: per-seed samples missing from the {side} row  "
+                "REGRESSION", f"{key} missing from the {side} row")
+    base, new = base_row[key], new_row[key]
+    margin = noninferiority_margin(metric)
+    for xs in (base, new):
+        if not isinstance(xs, list) or len(xs) < 2 or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in xs):
+            raise SchemaError(f"{key}: need a list of >= 2 numbers")
+    if margin is None:
+        raise SchemaError(f"{key}: no non-inferiority margin for '{metric}'")
+    diff, lcb = welch_lower_bound(base, new, NONINFERIORITY_CONFIDENCE)
+    ok = lcb >= -margin
+    line = (f"{metric}: {sum(base) / len(base):.4f} -> "
+            f"{sum(new) / len(new):.4f} over {len(base)}/{len(new)} samples "
+            f"(diff {diff:+.4f}, {NONINFERIORITY_CONFIDENCE:.0%} LCB "
+            f"{lcb:+.4f} {'>=' if ok else '<'} -{margin:g})")
+    if ok:
+        return line + "  non-inferior", None
+    return line + "  REGRESSION", f"{metric} lower bound {lcb:+.4f} < -{margin:g}"
 
 
 def load_doc(name, text):
@@ -212,7 +316,22 @@ def main():
                 regressions.append(f"{fname}:{row_name} missing")
                 continue
             base_row, new_row = base_rows[row_name], new_rows[row_name]
+            sampled = sorted({k[:-len(SAMPLES_SUFFIX)]
+                              for k in set(base_row) | set(new_row)
+                              if k.endswith(SAMPLES_SUFFIX)})
+            for metric in sampled:
+                try:
+                    line, regression = judge_samples(metric, base_row, new_row)
+                except SchemaError as ex:
+                    print(f"bench_diff: schema error: {fname}: {ex}",
+                          file=sys.stderr)
+                    sys.exit(2)
+                print(f"    {row_name}.{line}")
+                if regression:
+                    regressions.append(f"{fname}:{row_name}.{regression}")
             for metric in sorted(set(base_row) & set(new_row) - {"name"}):
+                if metric in sampled or metric.endswith(SAMPLES_SUFFIX):
+                    continue
                 bv, nv = base_row[metric], new_row[metric]
                 if not isinstance(bv, (int, float)) or isinstance(bv, bool) \
                         or not isinstance(nv, (int, float)) or isinstance(nv, bool):
@@ -243,13 +362,15 @@ def main():
               file=sys.stderr)
         sys.exit(2)
     if regressions:
-        print(f"bench_diff: FAIL: {len(regressions)} regression(s) beyond "
-              f"{args.threshold:.0%}:", file=sys.stderr)
+        print(f"bench_diff: FAIL: {len(regressions)} regression(s) (flat "
+              f"threshold {args.threshold:.0%}, sampled metrics by "
+              "non-inferiority):", file=sys.stderr)
         for r in regressions:
             print(f"  {r}", file=sys.stderr)
         sys.exit(1)
     print(f"bench_diff: OK: {compared_files} file(s), no gated metric "
-          f"regressed beyond {args.threshold:.0%}")
+          f"regressed beyond {args.threshold:.0%}, every sampled metric "
+          "non-inferior")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Unit tests for bench_diff.py: synthetic two-tree fixtures covering the
 improvement / regression / below-floor / missing-row / schema-mismatch
-paths, invoked as a subprocess so the exit codes under test are the real
-contract (scripts/check.sh consumes them, not the internals).
+paths and the per-seed non-inferiority rule, invoked as a subprocess so
+the exit codes under test are the real contract (scripts/check.sh consumes
+them, not the internals).
 
 Run directly (python3 scripts/bench_diff_test.py) or via ctest
 (bench_diff_py_test).
@@ -143,6 +144,75 @@ class BenchDiffTest(unittest.TestCase):
         make_tree(self.new, "b", [{"name": "r", "best_single": "dsatur"}])
         result = run_diff(self.base, self.new)
         self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_flat_accuracy_is_higher_better(self):
+        make_tree(self.base, "b", [{"name": "r", "best_accuracy": 0.98}])
+        make_tree(self.new, "b", [{"name": "r", "best_accuracy": 0.80}])
+        result = run_diff(self.base, self.new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("higher", result.stdout)
+
+    # Per-seed samples: judged by the 99% one-sided Welch non-inferiority
+    # bound (margin 0.005 for accuracies, 0.05 for exact_fraction), never by
+    # the flat --threshold.
+    BASE_ACC = [0.970, 0.972, 0.974, 0.971, 0.973, 0.975, 0.970, 0.972,
+                0.974, 0.973]
+
+    def sampled_row(self, samples, metric="mean_accuracy"):
+        return {"name": "n400", metric: sum(samples) / len(samples),
+                metric + "_samples": samples}
+
+    def test_noninferior_samples_pass(self):
+        # Mean 0.001 lower and the same spread: inside the 0.005 margin.
+        make_tree(self.base, "b", [self.sampled_row(self.BASE_ACC)])
+        make_tree(self.new, "b",
+                  [self.sampled_row([x - 0.001 for x in self.BASE_ACC])])
+        result = run_diff(self.base, self.new, "--threshold", "0.0")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("non-inferior", result.stdout)
+
+    def test_inferior_samples_fail(self):
+        # 0.006 lower: the lower bound falls past -0.005 even though the
+        # flat 10% threshold would accept the drop.
+        make_tree(self.base, "b", [self.sampled_row(self.BASE_ACC)])
+        make_tree(self.new, "b",
+                  [self.sampled_row([x - 0.006 for x in self.BASE_ACC])])
+        result = run_diff(self.base, self.new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("LCB", result.stdout)
+        self.assertIn("REGRESSION", result.stdout)
+
+    def test_noisy_samples_fail_when_bound_is_wide(self):
+        # Equal means, but a spread too wide to rule out a 0.05 loss in the
+        # exact fraction: non-inferiority is not shown, so the row fails.
+        noisy = [0.2, 0.5, 0.1, 0.45, 0.3, 0.15, 0.4, 0.25, 0.35, 0.3]
+        make_tree(self.base, "b", [self.sampled_row(noisy, "exact_fraction")])
+        make_tree(self.new, "b", [self.sampled_row(noisy, "exact_fraction")])
+        result = run_diff(self.base, self.new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("exact_fraction", result.stderr)
+
+    def test_constant_samples_compare_exactly(self):
+        ones = [1.0] * 10
+        make_tree(self.base, "b", [self.sampled_row(ones, "best_accuracy")])
+        make_tree(self.new, "b", [self.sampled_row(ones, "best_accuracy")])
+        result = run_diff(self.base, self.new)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_row_missing_its_samples_fails(self):
+        make_tree(self.base, "b", [self.sampled_row(self.BASE_ACC)])
+        make_tree(self.new, "b", [{"name": "n400", "mean_accuracy": 0.972}])
+        result = run_diff(self.base, self.new)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("samples missing from the new row", result.stdout)
+
+    def test_malformed_samples_is_schema_error(self):
+        make_tree(self.base, "b", [self.sampled_row(self.BASE_ACC)])
+        make_tree(self.new, "b", [{"name": "n400", "mean_accuracy": 0.97,
+                                   "mean_accuracy_samples": [0.97]}])
+        result = run_diff(self.base, self.new)
+        self.assertEqual(result.returncode, 2)
+        self.assertIn("schema error", result.stderr)
 
 
 if __name__ == "__main__":

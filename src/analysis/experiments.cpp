@@ -20,33 +20,14 @@ graph::Graph build_paper_graph(const PaperProblem& p) {
 }
 
 core::MsropmConfig default_machine_config() {
-  core::MsropmConfig config;
-  config.num_colors = 4;
-  config.schedule = core::StageSchedule::paper_default();
-
-  // Physics design point (see DESIGN.md Sec. 5). Tuned once on the 49-node
-  // instance: strong enough coupling to reach a contended ground state
-  // within the 20 ns anneal, SHIL comfortably above the discretization
-  // threshold, jitter level that anneals without washing out lock.
-  config.network.natural_frequency_hz = 1.3e9;
-  config.network.coupling_gain = 8.0e8;   // rad/s
-  config.network.shil_gain = 1.6e9;       // rad/s
-  config.network.shil_order = 2;
-  config.network.noise_stddev = 2.0e3;    // rad/sqrt(s)
-  config.network.dt = 2.0e-11;            // 1000 steps per 20 ns anneal
-
-  config.shil_ramp = phase::GainRamp{0.0, 0.5};
-  config.couplings_during_lock = true;
-  return config;
+  return core::design_point_config();
 }
 
 core::MsropmConfig machine_config_for_colors(unsigned num_colors) {
-  core::MsropmConfig config = default_machine_config();
   if (!core::valid_color_count(num_colors)) {
     throw std::invalid_argument("machine_config_for_colors: colors must be 2^m");
   }
-  config.num_colors = num_colors;
-  return config;
+  return core::design_point_config(num_colors);
 }
 
 double maxcut_accuracy(std::size_t achieved_cut, std::size_t reference_cut) {

@@ -27,9 +27,9 @@ struct PaperProblem {
 [[nodiscard]] graph::Graph build_paper_graph(const PaperProblem& p);
 
 /// The tuned 4-coloring MSROPM configuration used throughout the
-/// reproduction (60 ns paper schedule; coupling/SHIL/noise gains tuned once
-/// on the 49-node instance and then frozen for all sizes, mirroring the
-/// paper's fixed design point).
+/// reproduction: core::design_point_config() (60 ns paper schedule;
+/// coupling/SHIL/noise gains tuned once on the 49-node instance and then
+/// frozen for all sizes, mirroring the paper's fixed design point).
 [[nodiscard]] core::MsropmConfig default_machine_config();
 
 /// Same physics, generalized to K = 2^m colors.

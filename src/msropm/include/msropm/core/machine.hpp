@@ -56,6 +56,12 @@ struct MsropmConfig {
   }
 };
 
+/// The tuned physics design point at `num_colors` colors on the paper's
+/// 60 ns schedule: coupling, SHIL and noise gains tuned once on the 49-node
+/// King's instance and then frozen for every size, mirroring the paper's
+/// fixed hardware. The one source of these values for every caller.
+[[nodiscard]] MsropmConfig design_point_config(unsigned num_colors = 4);
+
 /// Per-stage observable outcome.
 struct StageOutcome {
   std::vector<std::uint8_t> bits;   ///< readout bit per oscillator

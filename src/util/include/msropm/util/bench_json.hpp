@@ -9,14 +9,17 @@
 //     "bench": "<bench name>",
 //     "meta": { "git_rev": "...", "timestamp": "...", "compiler": "...",
 //               "build_type": "...", "obs": "on|off", ... },
-//     "rows": [ {"name": "<row>", "<metric>": <number|string>, ...}, ... ]
+//     "rows": [ {"name": "<row>", "<metric>": <number|string|[numbers]>,
+//                ...}, ... ]
 //   }
 // Metrics are flat key/value pairs per row; numbers are emitted as-is,
-// strings JSON-escaped. The "meta" object carries provenance stamped
-// automatically at write() time (git rev from configure time — a "-dirty"
-// suffix marks working-tree builds — plus UTC timestamp, compiler, build
-// type, and whether msropm::obs was compiled in), so every committed result
-// is attributable; benches can append their own pairs with meta().
+// strings JSON-escaped, sample series (e.g. one value per seed, which
+// scripts/bench_diff.py judges statistically) as arrays of numbers. The
+// "meta" object carries provenance stamped automatically at write() time
+// (git rev from configure time — a "-dirty" suffix marks working-tree
+// builds — plus UTC timestamp, compiler, build type, and whether
+// msropm::obs was compiled in), so every committed result is attributable;
+// benches can append their own pairs with meta().
 // Header-only, no dependencies beyond <filesystem>.
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,9 +46,7 @@ class BenchJsonWriter {
   }
 
   void metric(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    rows_.back().emplace_back(key, buf);
+    rows_.back().emplace_back(key, number(value));
   }
   void metric(const std::string& key, std::uint64_t value) {
     rows_.back().emplace_back(key, std::to_string(value));
@@ -58,6 +60,14 @@ class BenchJsonWriter {
   void metric(const std::string& key, const char* value) {
     metric(key, std::string(value));
   }
+  void metric(const std::string& key, std::span<const double> values) {
+    std::string json = "[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) json += ", ";
+      json += number(values[i]);
+    }
+    rows_.back().emplace_back(key, json + "]");
+  }
 
   /// Append a bench-specific provenance pair to the "meta" object (e.g. the
   /// baseline a ratio gate compared against).
@@ -65,9 +75,7 @@ class BenchJsonWriter {
     extra_meta_.emplace_back(key, "\"" + escape(value) + "\"");
   }
   void meta(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    extra_meta_.emplace_back(key, buf);
+    extra_meta_.emplace_back(key, number(value));
   }
 
   /// Serialize to bench_results/<bench>.json under `dir` (default: CWD).
@@ -140,6 +148,12 @@ class BenchJsonWriter {
             {"compiler", "\"" + escape(compiler) + "\""},
             {"build_type", "\"" + escape(build_type) + "\""},
             {"obs", "\"" + obs + "\""}};
+  }
+
+  static std::string number(double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.6g", value);
+    return buf;
   }
 
   static std::string escape(const std::string& s) {

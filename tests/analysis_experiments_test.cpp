@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "msropm/core/shil_plan.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
 
@@ -42,6 +44,22 @@ TEST(DefaultConfig, PhysicallySensibleGains) {
   EXPECT_GT(cfg.schedule.anneal_s * cfg.network.coupling_gain, 5.0);
   // Integration step resolves the fastest dynamics.
   EXPECT_LT(cfg.network.dt * cfg.network.shil_gain, 0.1);
+}
+
+TEST(DefaultConfig, EveryScheduleWindowIsWholeSteps) {
+  // PhaseBatch::run integrates ceil(window / dt) steps, so a window that is
+  // not a whole number of steps would silently run longer than scheduled.
+  for (const unsigned colors : {2u, 4u, 8u}) {
+    const auto cfg = analysis::machine_config_for_colors(colors);
+    const auto& s = cfg.schedule;
+    for (const double window : {s.init_s, s.anneal_s, s.discretize_s, s.reinit_s}) {
+      const double steps = window / cfg.network.dt;
+      EXPECT_GE(steps, 1.0) << "K=" << colors;
+      EXPECT_NEAR(steps, std::round(steps), 1e-9)
+          << "K=" << colors << ": a " << window << " s window is not a whole "
+          << "number of " << cfg.network.dt << " s steps";
+    }
+  }
 }
 
 TEST(ConfigForColors, GeneralizesStages) {

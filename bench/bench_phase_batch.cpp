@@ -11,7 +11,7 @@
 //              sin/cos/SHIL-sin calls), embedded below verbatim so the
 //              baseline cannot silently drift as the live engine evolves.
 //   batch1  -- 40 independent PhaseBatch(R=1) instances: what a
-//              single-trajectory caller (solve(), NShilRopm) runs.
+//              single-trajectory caller (solve()) runs.
 //   batch40 -- one PhaseBatch(R=40) driven through run(), i.e. the
 //              replica-major batched path used by solve_batch.
 //

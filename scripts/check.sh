@@ -13,7 +13,8 @@
 #   Preset             What it adds
 #   ----------------   ------------------------------------------------------
 #   CHECK_ASAN=1       SAT arena/GC + preprocessor + batched phase-engine
-#                      (batch, one-replica dynamics, N-SHIL) + runner tests
+#                      (batch, one-replica dynamics, machine, N-SHIL)
+#                      + runner tests
 #                      rebuilt and rerun under ASan/UBSan (build-asan/)
 #   CHECK_TSAN=1       portfolio + stop-token + arena cancellation + batched
 #                      phase-engine, runner equivalence and runner tests
@@ -64,13 +65,13 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # exactly where a use-after-free would hide, so these run under ASan/UBSan on
 # demand (the sanitizer presets also enable the solver's internal
 # stale-reference checks via MSROPM_SAT_CHECK_INVARIANTS).
-ARENA_TESTS='sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_preprocess_test|sat_preprocess_equivalence_test|sat_incremental_test|phase_batch_test|phase_dynamics_test|solvers_nshil_test|core_batch_equivalence_test|core_runner_test'
+ARENA_TESTS='sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_preprocess_test|sat_preprocess_equivalence_test|sat_incremental_test|phase_batch_test|phase_dynamics_test|core_machine_test|solvers_nshil_test|core_batch_equivalence_test|core_runner_test'
 if [ "${CHECK_ASAN:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
   cmake -B build-asan -S . -DMSROPM_SANITIZE=ON
   cmake --build build-asan -j "${JOBS}" --target \
     sat_arena_test sat_arena_equivalence_test sat_solver_growth_test \
     sat_preprocess_test sat_preprocess_equivalence_test sat_incremental_test \
-    phase_batch_test phase_dynamics_test solvers_nshil_test \
+    phase_batch_test phase_dynamics_test core_machine_test solvers_nshil_test \
     core_batch_equivalence_test core_runner_test
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R "^(${ARENA_TESTS})\$"

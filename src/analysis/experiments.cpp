@@ -1,7 +1,5 @@
 #include "msropm/analysis/experiments.hpp"
 
-#include <stdexcept>
-
 #include "msropm/graph/builders.hpp"
 
 namespace msropm::analysis {
@@ -21,13 +19,6 @@ graph::Graph build_paper_graph(const PaperProblem& p) {
 
 core::MsropmConfig default_machine_config() {
   return core::design_point_config();
-}
-
-core::MsropmConfig machine_config_for_colors(unsigned num_colors) {
-  if (!core::valid_color_count(num_colors)) {
-    throw std::invalid_argument("machine_config_for_colors: colors must be 2^m");
-  }
-  return core::design_point_config(num_colors);
 }
 
 double maxcut_accuracy(std::size_t achieved_cut, std::size_t reference_cut) {

@@ -32,9 +32,6 @@ struct PaperProblem {
 /// frozen for all sizes, mirroring the paper's fixed design point).
 [[nodiscard]] core::MsropmConfig default_machine_config();
 
-/// Same physics, generalized to K = 2^m colors.
-[[nodiscard]] core::MsropmConfig machine_config_for_colors(unsigned num_colors);
-
 /// Max-cut accuracy: achieved cut / reference cut (Fig. 5b normalization).
 [[nodiscard]] double maxcut_accuracy(std::size_t achieved_cut,
                                      std::size_t reference_cut);

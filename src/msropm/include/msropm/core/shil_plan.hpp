@@ -1,52 +1,50 @@
 #pragma once
 // Phase-shifted SHIL planning for the multi-stage divide-and-color flow
-// (paper Sec. 3.1-3.2, Fig. 2).
+// (paper Sec. 3.1-3.2, Fig. 2), in radix q = the SHIL order.
 //
-// A 2^m-coloring runs in m stages. Entering stage k every oscillator carries
-// the bits b_1..b_{k-1} read out in earlier stages (stored in the SHIL_SEL
-// registers). During stage-k discretization the oscillator receives an
-// order-2 SHIL whose phase offset is
+// A K = q^m coloring runs in m stages. Entering stage k every oscillator
+// carries the digits d_1..d_{k-1} (each in [0, q)) read out in earlier stages
+// (stored in the SHIL_SEL registers). During stage-k discretization the
+// oscillator receives an order-q SHIL whose phase offset is
 //
-//   psi_k(b_1..b_{k-1}) = pi * sum_{j=1}^{k-1} b_j / 2^j
+//   psi_k(d_1..d_{k-1}) = (2*pi/q) * sum_{j=1}^{k-1} d_j / q^j
 //
-// which locks it at psi or psi + pi; the chosen lobe is bit b_k. For m = 2
-// this is exactly the paper's SHIL 1 (psi = 0, locks {0, 180} deg) and
-// SHIL 2 (psi = pi/2, locks {90, 270} deg), and after m stages the 2^m
-// distinct final phases are equally spaced -- the vector Potts spins.
+// which locks it at psi + (2*pi/q) * d for d in [0, q); the chosen lock
+// point is digit d_k. For the paper's q = 2, m = 2 this is exactly SHIL 1
+// (psi = 0, locks {0, 180} deg) and SHIL 2 (psi = pi/2, locks {90, 270} deg).
+// After m stages the q^m distinct final phases psi_m + (2*pi/q) * d_m are
+// equally spaced -- the vector Potts spins. The single-stage N-SHIL machine
+// of the paper's ref. [14] is the case m = 1, q = K.
 
 #include <cstdint>
 #include <vector>
 
 namespace msropm::core {
 
-/// Accumulated readout bits of one oscillator, b_1 first.
+/// Accumulated readout digits of one oscillator, d_1 first (bits at q = 2).
 using StageBits = std::vector<std::uint8_t>;
 
-/// Number of stages needed for K colors; K must be a power of two >= 2.
-[[nodiscard]] unsigned stages_for_colors(unsigned num_colors);
+/// Number of stages m for K = q^m colors; K must be a power of q in [2, 128].
+[[nodiscard]] unsigned stages_for_colors(unsigned num_colors,
+                                         unsigned shil_order = 2);
 
-/// True when K is a representable color count (power of two >= 2).
-[[nodiscard]] bool valid_color_count(unsigned num_colors) noexcept;
+/// True when K is a representable color count (a power q^m, m >= 1, <= 128).
+[[nodiscard]] bool valid_color_count(unsigned num_colors,
+                                     unsigned shil_order = 2) noexcept;
 
-/// SHIL phase offset for the stage following the given bits (see above).
+/// SHIL phase offset for the stage following the given digits (see above).
 /// bits.size() == k-1 when entering stage k.
-[[nodiscard]] double shil_phase_for_bits(const StageBits& bits);
+[[nodiscard]] double shil_phase_for_bits(const StageBits& bits,
+                                         unsigned shil_order = 2);
 
-/// Group index of an oscillator entering stage k: the integer with binary
-/// digits b_1..b_{k-1} (b_1 = LSB). Oscillators in the same group share a
-/// SHIL and stay coupled; edges between groups are P_EN-disabled.
-[[nodiscard]] std::uint32_t group_from_bits(const StageBits& bits) noexcept;
+/// Ideal final phase after all m stages given all m digits:
+/// theta = psi_m(d_1..d_{m-1}) + (2*pi/q) * d_m.
+[[nodiscard]] double final_phase_from_bits(const StageBits& bits,
+                                           unsigned shil_order = 2);
 
-/// Ideal final phase after all m stages given all m bits:
-/// theta = psi_m(b_1..b_{m-1}) + pi * b_m.
-[[nodiscard]] double final_phase_from_bits(const StageBits& bits);
-
-/// Final color: the final phase quantized to 2*pi/2^m slots. Bijective over
-/// the 2^m bit patterns.
-[[nodiscard]] std::uint8_t color_from_bits(const StageBits& bits);
-
-/// Inverse of color_from_bits (for tests and for seeding a machine from a
-/// known coloring).
-[[nodiscard]] StageBits bits_from_color(std::uint8_t color, unsigned num_stages);
+/// Final color: the final phase quantized to 2*pi/q^m slots. Bijective over
+/// the q^m digit patterns.
+[[nodiscard]] std::uint8_t color_from_bits(const StageBits& bits,
+                                           unsigned shil_order = 2);
 
 }  // namespace msropm::core

@@ -39,8 +39,9 @@ MsropmConfig design_point_config(unsigned num_colors) {
 MultiStagePottsMachine::MultiStagePottsMachine(const graph::Graph& g,
                                                MsropmConfig config)
     : graph_(&g), config_(config) {
-  if (!valid_color_count(config_.num_colors)) {
-    throw std::invalid_argument("MultiStagePottsMachine: colors must be 2^m");
+  if (!valid_color_count(config_.num_colors, config_.network.shil_order)) {
+    throw std::invalid_argument(
+        "MultiStagePottsMachine: colors must be shil_order^m");
   }
   if (!config_.schedule.valid()) {
     throw std::invalid_argument("MultiStagePottsMachine: invalid schedule");
@@ -56,6 +57,7 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     std::span<util::Rng> rngs, const BatchStageObserver& observer) const {
   const graph::Graph& g = *graph_;
   const unsigned num_stages = config_.num_stages();
+  const unsigned order = config_.network.shil_order;
   const std::size_t n = g.num_nodes();
   const std::size_t replicas = rngs.size();
   if (replicas == 0) return {};
@@ -102,7 +104,9 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
   for (unsigned stage = 1; stage <= num_stages; ++stage) {
     // SHIL phases + P_EN masks for each replica's current grouping.
     for (std::size_t r = 0; r < replicas; ++r) {
-      for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase_for_bits(bits[r][i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        psi[i] = shil_phase_for_bits(bits[r][i], order);
+      }
       net.set_shil_phases(r, psi);
       net.set_edge_mask(r, edge_mask[r]);
       net.set_couplings_active(r, true);
@@ -113,7 +117,7 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     net.run(config_.schedule.anneal_s, rngs);
     if (observer) observer(stage, "anneal", net);
 
-    // --- lock: ramped SHIL binarizes each group ----------------------
+    // --- lock: ramped SHIL discretizes each group ---------------------
     for (std::size_t r = 0; r < replicas; ++r) {
       net.set_couplings_active(r, config_.couplings_during_lock);
       net.set_shil_active(r, true);
@@ -132,14 +136,14 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
       double max_residual = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
         outcome.bits[i] = static_cast<std::uint8_t>(
-            phase::nearest_lock_index(theta[i], psi_r[i], 2));
+            phase::nearest_lock_index(theta[i], psi_r[i], order));
         bits[r][i].push_back(outcome.bits[i]);
-        max_residual =
-            std::max(max_residual, phase::lock_residual(theta[i], psi_r[i], 2));
+        max_residual = std::max(max_residual,
+                                phase::lock_residual(theta[i], psi_r[i], order));
       }
       outcome.max_lock_residual = max_residual;
 
-      // Update P_EN: cut couplings whose endpoints read out different bits.
+      // Update P_EN: cut couplings whose endpoints read out different digits.
       for (std::size_t e = 0; e < edges.size(); ++e) {
         if (!edge_mask[r][e]) continue;
         ++outcome.active_edges;
@@ -169,7 +173,7 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     results[r].colors.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       results[r].colors[i] =
-          static_cast<graph::Color>(color_from_bits(bits[r][i]));
+          static_cast<graph::Color>(color_from_bits(bits[r][i], order));
     }
   }
   return results;

@@ -6,74 +6,70 @@
 
 namespace msropm::core {
 
-bool valid_color_count(unsigned num_colors) noexcept {
-  return num_colors >= 2 && (num_colors & (num_colors - 1)) == 0 &&
-         num_colors <= 128;
+namespace {
+
+constexpr unsigned kMaxColors = 128;
+
+/// 2*pi/q: the lock-point spacing of an order-q SHIL (exactly pi at q = 2).
+double lobe_spacing(unsigned shil_order) {
+  if (shil_order < 2) throw std::invalid_argument("shil_plan: SHIL order >= 2");
+  return 2.0 * std::numbers::pi / static_cast<double>(shil_order);
 }
 
-unsigned stages_for_colors(unsigned num_colors) {
-  if (!valid_color_count(num_colors)) {
+}  // namespace
+
+bool valid_color_count(unsigned num_colors, unsigned shil_order) noexcept {
+  if (shil_order < 2 || num_colors < 2 || num_colors > kMaxColors) return false;
+  unsigned power = shil_order;
+  while (power < num_colors) power *= shil_order;
+  return power == num_colors;
+}
+
+unsigned stages_for_colors(unsigned num_colors, unsigned shil_order) {
+  if (!valid_color_count(num_colors, shil_order)) {
     throw std::invalid_argument(
-        "stages_for_colors: colors must be a power of two in [2, 128]");
+        "stages_for_colors: colors must be a power of the SHIL order in [2, 128]");
   }
-  unsigned stages = 0;
-  while ((1u << stages) < num_colors) ++stages;
+  unsigned stages = 1;
+  for (unsigned power = shil_order; power < num_colors; power *= shil_order) {
+    ++stages;
+  }
   return stages;
 }
 
-double shil_phase_for_bits(const StageBits& bits) {
+double shil_phase_for_bits(const StageBits& bits, unsigned shil_order) {
+  const double spacing = lobe_spacing(shil_order);
   double psi = 0.0;
-  double weight = 0.5;
-  for (std::uint8_t b : bits) {
-    if (b > 1) throw std::invalid_argument("shil_phase_for_bits: bit > 1");
-    psi += static_cast<double>(b) * weight;
-    weight *= 0.5;
+  double weight = 1.0 / static_cast<double>(shil_order);
+  for (std::uint8_t d : bits) {
+    if (d >= shil_order) {
+      throw std::invalid_argument("shil_phase_for_bits: digit >= SHIL order");
+    }
+    psi += static_cast<double>(d) * weight;
+    weight /= static_cast<double>(shil_order);
   }
-  return std::numbers::pi * psi;
+  return spacing * psi;
 }
 
-std::uint32_t group_from_bits(const StageBits& bits) noexcept {
-  std::uint32_t g = 0;
-  for (std::size_t j = 0; j < bits.size(); ++j) {
-    g |= static_cast<std::uint32_t>(bits[j] & 1u) << j;
-  }
-  return g;
-}
-
-double final_phase_from_bits(const StageBits& bits) {
+double final_phase_from_bits(const StageBits& bits, unsigned shil_order) {
   if (bits.empty()) throw std::invalid_argument("final_phase_from_bits: no bits");
   StageBits prefix(bits.begin(), bits.end() - 1);
-  return shil_phase_for_bits(prefix) +
-         std::numbers::pi * static_cast<double>(bits.back());
+  return shil_phase_for_bits(prefix, shil_order) +
+         lobe_spacing(shil_order) * static_cast<double>(bits.back());
 }
 
-std::uint8_t color_from_bits(const StageBits& bits) {
-  const auto m = static_cast<unsigned>(bits.size());
-  if (m == 0 || m > 7) throw std::invalid_argument("color_from_bits: 1..7 stages");
-  const unsigned k = 1u << m;
+std::uint8_t color_from_bits(const StageBits& bits, unsigned shil_order) {
+  unsigned k = bits.empty() ? 0 : 1;
+  for (std::size_t j = 0; j < bits.size() && k <= kMaxColors; ++j) k *= shil_order;
+  if (!valid_color_count(k, shil_order)) {
+    throw std::invalid_argument("color_from_bits: q^m must be in [2, 128]");
+  }
   const double slot = 2.0 * std::numbers::pi / static_cast<double>(k);
-  const double theta = final_phase_from_bits(bits);
+  const double theta = final_phase_from_bits(bits, shil_order);
   auto idx = static_cast<long>(std::lround(theta / slot));
   idx %= static_cast<long>(k);
   if (idx < 0) idx += static_cast<long>(k);
   return static_cast<std::uint8_t>(idx);
-}
-
-StageBits bits_from_color(std::uint8_t color, unsigned num_stages) {
-  if (num_stages == 0 || num_stages > 7) {
-    throw std::invalid_argument("bits_from_color: 1..7 stages");
-  }
-  const unsigned k = 1u << num_stages;
-  if (color >= k) throw std::invalid_argument("bits_from_color: color out of range");
-  // Invert by enumeration: the forward map is a bijection over 2^m patterns.
-  for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
-    StageBits bits(num_stages);
-    for (unsigned j = 0; j < num_stages; ++j) {
-      bits[j] = static_cast<std::uint8_t>((pattern >> j) & 1u);
-    }
-    if (color_from_bits(bits) == color) return bits;
-  }
-  throw std::logic_error("bits_from_color: bijection violated");
 }
 
 }  // namespace msropm::core

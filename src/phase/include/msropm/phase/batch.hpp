@@ -81,8 +81,8 @@
 // batch width -- so a batch-of-R run is bit-identical to R batch-of-1 runs
 // (hard-gated by tests/core_batch_equivalence_test.cpp). A single trajectory
 // is a PhaseBatch of one replica: MultiStagePottsMachine::solve() is
-// solve_batch() over one replica and solvers::NShilRopm steps a batch of one,
-// so every caller shares this single implementation.
+// solve_batch() over one replica, so every caller shares this single
+// implementation.
 
 #include <cstdint>
 #include <functional>

@@ -50,7 +50,7 @@ TEST(DefaultConfig, EveryScheduleWindowIsWholeSteps) {
   // PhaseBatch::run integrates ceil(window / dt) steps, so a window that is
   // not a whole number of steps would silently run longer than scheduled.
   for (const unsigned colors : {2u, 4u, 8u}) {
-    const auto cfg = analysis::machine_config_for_colors(colors);
+    const auto cfg = core::design_point_config(colors);
     const auto& s = cfg.schedule;
     for (const double window : {s.init_s, s.anneal_s, s.discretize_s, s.reinit_s}) {
       const double steps = window / cfg.network.dt;
@@ -63,9 +63,8 @@ TEST(DefaultConfig, EveryScheduleWindowIsWholeSteps) {
 }
 
 TEST(ConfigForColors, GeneralizesStages) {
-  EXPECT_EQ(analysis::machine_config_for_colors(8).num_stages(), 3u);
-  EXPECT_EQ(analysis::machine_config_for_colors(2).num_stages(), 1u);
-  EXPECT_THROW((void)analysis::machine_config_for_colors(5), std::invalid_argument);
+  EXPECT_EQ(core::design_point_config(8).num_stages(), 3u);
+  EXPECT_EQ(core::design_point_config(2).num_stages(), 1u);
 }
 
 TEST(MaxcutAccuracy, Normalization) {
@@ -100,16 +99,16 @@ TEST(ConfigForColors, TotalTimeFollowsScheduleFormula) {
   // init + m*(anneal + lock) + (m-1)*reinit; 60 ns for K = 4 and 90 ns for
   // K = 8 at the paper's windows (5/20/5/5 ns).
   for (const unsigned k : {2u, 4u, 8u, 16u}) {
-    const auto c = analysis::machine_config_for_colors(k);
+    const auto c = core::design_point_config(k);
     const unsigned m = c.num_stages();
     const auto& s = c.schedule;
     EXPECT_DOUBLE_EQ(c.total_time_s(),
                      s.init_s + m * (s.anneal_s + s.discretize_s) +
                          (m - 1) * s.reinit_s);
   }
-  EXPECT_NEAR(analysis::machine_config_for_colors(4).total_time_s(), 60e-9,
+  EXPECT_NEAR(core::design_point_config(4).total_time_s(), 60e-9,
               1e-12);
-  EXPECT_NEAR(analysis::machine_config_for_colors(8).total_time_s(), 90e-9,
+  EXPECT_NEAR(core::design_point_config(8).total_time_s(), 90e-9,
               1e-12);
 }
 

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "msropm/analysis/experiments.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/util/rng.hpp"
 
@@ -19,17 +21,33 @@ using core::MsropmResult;
 using core::MultiStagePottsMachine;
 
 MsropmConfig fast_config(unsigned colors = 4) {
-  auto cfg = analysis::machine_config_for_colors(colors);
-  return cfg;
+  return core::design_point_config(colors);
+}
+
+double best_accuracy(const graph::Graph& g, const MultiStagePottsMachine& machine,
+                     std::uint64_t seeds) {
+  double best = 0.0;
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+    util::Rng rng(seed);
+    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
+  }
+  return best;
 }
 
 TEST(Machine, RejectsInvalidConfig) {
   const auto g = graph::path_graph(2);
+  for (const unsigned colors : {3u, 5u}) {
+    MsropmConfig bad = fast_config();
+    bad.num_colors = colors;
+    EXPECT_THROW(MultiStagePottsMachine(g, bad), std::invalid_argument) << colors;
+  }
   MsropmConfig bad = fast_config();
-  bad.num_colors = 3;
-  EXPECT_THROW(MultiStagePottsMachine(g, bad), std::invalid_argument);
-  bad = fast_config();
   bad.schedule.anneal_s = 0.0;
+  EXPECT_THROW(MultiStagePottsMachine(g, bad), std::invalid_argument);
+  // K must be a power of the SHIL order the fabric injects: an order-3 SHIL
+  // cannot spell 4 colors.
+  bad = fast_config(4);
+  bad.network.shil_order = 3;
   EXPECT_THROW(MultiStagePottsMachine(g, bad), std::invalid_argument);
 }
 
@@ -118,12 +136,7 @@ TEST(Machine, SolvesBipartiteGraphPerfectly) {
   // edge in nearly every run (stage 1 alone can cut everything).
   const auto g = graph::complete_bipartite_graph(6, 6);
   MultiStagePottsMachine machine(g, fast_config());
-  double best = 0.0;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    util::Rng rng(seed);
-    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
-  }
-  EXPECT_DOUBLE_EQ(best, 1.0);
+  EXPECT_DOUBLE_EQ(best_accuracy(g, machine, 5), 1.0);
 }
 
 TEST(Machine, TwoColorModeIsMaxCut) {
@@ -135,12 +148,7 @@ TEST(Machine, TwoColorModeIsMaxCut) {
   EXPECT_EQ(r.stages.size(), 1u);
   EXPECT_NEAR(r.total_time_s, 30e-9, 1e-15);
   // Even cycle: the machine should find the perfect alternating cut often.
-  double best = 0.0;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    util::Rng r2(seed);
-    best = std::max(best, graph::coloring_accuracy(g, machine.solve(r2).colors));
-  }
-  EXPECT_DOUBLE_EQ(best, 1.0);
+  EXPECT_DOUBLE_EQ(best_accuracy(g, machine, 5), 1.0);
 }
 
 TEST(Machine, EightColorExtension) {
@@ -189,15 +197,31 @@ TEST(Machine, Stage1CutAccessor) {
   EXPECT_EQ(model::cut_value(g, cut), r.stages[0].cut_edges);
 }
 
+TEST(Machine, NShilRunsOneStage) {
+  // shil_order = K = 4 is the single-stage 4-SHIL machine: one order-4 lock
+  // and readout in a 30 ns init + anneal + lock cycle, no second stage.
+  const auto g = graph::kings_graph(4, 4);
+  MsropmConfig cfg = fast_config(4);
+  cfg.network.shil_order = 4;
+  EXPECT_EQ(cfg.num_stages(), 1u);
+  EXPECT_NEAR(cfg.total_time_s(), 30e-9, 1e-15);
+  MultiStagePottsMachine machine(g, cfg);
+  util::Rng rng(1);
+  const auto r = machine.solve(rng);
+  ASSERT_EQ(r.stages.size(), 1u);
+  EXPECT_NEAR(r.total_time_s, 30e-9, 1e-15);
+  EXPECT_EQ(r.colors.size(), 16u);
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    EXPECT_LT(r.colors[i], 4);
+    EXPECT_EQ(r.colors[i], r.stages[0].bits[i]) << "one digit is the color";
+  }
+}
+
 TEST(Machine, HighAccuracyOnSmallPaperInstance) {
   const auto g = graph::kings_graph_square(7);
   MultiStagePottsMachine machine(g, fast_config());
-  double best = 0.0;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    util::Rng rng(seed);
-    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
-  }
-  EXPECT_GE(best, 0.95) << "49-node instance must reach near-exact accuracy";
+  EXPECT_GE(best_accuracy(g, machine, 10), 0.95)
+      << "49-node instance must reach near-exact accuracy";
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <numbers>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -15,6 +16,21 @@ namespace {
 using namespace msropm::core;
 
 constexpr double kPi = std::numbers::pi;
+
+/// Digits d_1..d_m of `pattern` in radix q, least significant first.
+StageBits digits(std::uint32_t pattern, unsigned q, unsigned m) {
+  StageBits bits(m);
+  for (unsigned j = 0; j < m; ++j, pattern /= q) {
+    bits[j] = static_cast<std::uint8_t>(pattern % q);
+  }
+  return bits;
+}
+
+unsigned power(unsigned q, unsigned m) {
+  unsigned k = 1;
+  while (m-- > 0) k *= q;
+  return k;
+}
 
 TEST(ColorCount, Validity) {
   EXPECT_TRUE(valid_color_count(2));
@@ -26,6 +42,17 @@ TEST(ColorCount, Validity) {
   EXPECT_FALSE(valid_color_count(3));
   EXPECT_FALSE(valid_color_count(6));
   EXPECT_FALSE(valid_color_count(256));
+  // Radix q = SHIL order: K must be q^m.
+  EXPECT_TRUE(valid_color_count(3, 3));
+  EXPECT_TRUE(valid_color_count(81, 3));
+  EXPECT_TRUE(valid_color_count(4, 4));
+  EXPECT_TRUE(valid_color_count(64, 4));
+  EXPECT_FALSE(valid_color_count(4, 3));
+  EXPECT_FALSE(valid_color_count(8, 4));
+  EXPECT_FALSE(valid_color_count(2, 4));
+  EXPECT_FALSE(valid_color_count(243, 3));
+  EXPECT_FALSE(valid_color_count(2, 1));
+  EXPECT_FALSE(valid_color_count(2, 0));
 }
 
 TEST(StagesForColors, Log2) {
@@ -35,6 +62,11 @@ TEST(StagesForColors, Log2) {
   EXPECT_EQ(stages_for_colors(16), 4u);
   EXPECT_THROW((void)stages_for_colors(3), std::invalid_argument);
   EXPECT_THROW((void)stages_for_colors(0), std::invalid_argument);
+  EXPECT_EQ(stages_for_colors(3, 3), 1u);
+  EXPECT_EQ(stages_for_colors(9, 3), 2u);
+  EXPECT_EQ(stages_for_colors(4, 4), 1u);
+  EXPECT_EQ(stages_for_colors(64, 4), 3u);
+  EXPECT_THROW((void)stages_for_colors(4, 3), std::invalid_argument);
 }
 
 TEST(ShilPhase, PaperTwoStagePlan) {
@@ -62,14 +94,8 @@ TEST(ShilPhase, ThreeStagePlanDistinctOffsets) {
 
 TEST(ShilPhase, RejectsNonBits) {
   EXPECT_THROW((void)shil_phase_for_bits({2}), std::invalid_argument);
-}
-
-TEST(GroupFromBits, BinaryPacking) {
-  EXPECT_EQ(group_from_bits({}), 0u);
-  EXPECT_EQ(group_from_bits({1}), 1u);
-  EXPECT_EQ(group_from_bits({0, 1}), 2u);
-  EXPECT_EQ(group_from_bits({1, 1}), 3u);
-  EXPECT_EQ(group_from_bits({1, 0, 1}), 5u);
+  EXPECT_THROW((void)shil_phase_for_bits({3}, 3), std::invalid_argument);
+  EXPECT_THROW((void)shil_phase_for_bits({}, 1), std::invalid_argument);
 }
 
 TEST(FinalPhase, TwoStageProducesQuadraturePhases) {
@@ -87,59 +113,51 @@ TEST(FinalPhase, TwoStageProducesQuadraturePhases) {
   EXPECT_EQ(quadrants.size(), 4u);
 }
 
-class ColorBijectionSweep : public ::testing::TestWithParam<unsigned> {};
+/// (SHIL order q, stages m).
+class ColorBijectionSweep
+    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>> {};
 
 TEST_P(ColorBijectionSweep, ColorFromBitsIsBijective) {
-  const unsigned m = GetParam();
-  const unsigned k = 1u << m;
+  const auto [q, m] = GetParam();
+  const unsigned k = power(q, m);
   std::set<std::uint8_t> colors;
   for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
-    StageBits bits(m);
-    for (unsigned j = 0; j < m; ++j) {
-      bits[j] = static_cast<std::uint8_t>((pattern >> j) & 1u);
-    }
-    colors.insert(color_from_bits(bits));
+    colors.insert(color_from_bits(digits(pattern, q, m), q));
   }
-  EXPECT_EQ(colors.size(), k) << "every bit pattern must map to a unique color";
+  EXPECT_EQ(colors.size(), k) << "every digit pattern must map to a unique color";
   EXPECT_EQ(*colors.rbegin(), k - 1);
 }
 
-TEST_P(ColorBijectionSweep, BitsFromColorInverts) {
-  const unsigned m = GetParam();
-  const unsigned k = 1u << m;
-  for (unsigned c = 0; c < k; ++c) {
-    const auto bits = bits_from_color(static_cast<std::uint8_t>(c), m);
-    EXPECT_EQ(color_from_bits(bits), c);
-    EXPECT_EQ(bits.size(), m);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Stages, ColorBijectionSweep,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
+INSTANTIATE_TEST_SUITE_P(
+    Stages, ColorBijectionSweep,
+    ::testing::Values(std::pair{2u, 1u}, std::pair{2u, 2u}, std::pair{2u, 3u},
+                      std::pair{2u, 4u}, std::pair{2u, 5u}, std::pair{3u, 1u},
+                      std::pair{3u, 2u}, std::pair{3u, 4u}, std::pair{4u, 1u},
+                      std::pair{4u, 3u}));
 
 TEST(ColorFromBits, AdjacentFinalPhasesAreEquallySpaced) {
-  // After m stages, colors sorted by final phase are exactly 2pi/2^m apart:
+  // After m stages, colors sorted by final phase are exactly 2pi/q^m apart:
   // the defining property of the vector Potts spin set (Eq. 4).
   const unsigned m = 3;
-  const unsigned k = 1u << m;
-  std::vector<double> phases;
-  for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
-    StageBits bits(m);
-    for (unsigned j = 0; j < m; ++j) {
-      bits[j] = static_cast<std::uint8_t>((pattern >> j) & 1u);
+  for (const unsigned q : {2u, 3u, 4u}) {
+    const unsigned k = power(q, m);
+    std::vector<double> phases;
+    for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
+      phases.push_back(final_phase_from_bits(digits(pattern, q, m), q));
     }
-    phases.push_back(final_phase_from_bits(bits));
-  }
-  std::sort(phases.begin(), phases.end());
-  for (std::size_t i = 1; i < phases.size(); ++i) {
-    EXPECT_NEAR(phases[i] - phases[i - 1], 2.0 * kPi / k, 1e-9);
+    std::sort(phases.begin(), phases.end());
+    EXPECT_NEAR(phases.front(), 0.0, 1e-12) << "q=" << q;
+    for (std::size_t i = 1; i < phases.size(); ++i) {
+      EXPECT_NEAR(phases[i] - phases[i - 1], 2.0 * kPi / k, 1e-9) << "q=" << q;
+    }
   }
 }
 
 TEST(ColorFromBits, Validation) {
   EXPECT_THROW((void)color_from_bits({}), std::invalid_argument);
-  EXPECT_THROW(bits_from_color(4, 2), std::invalid_argument);
-  EXPECT_THROW(bits_from_color(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)color_from_bits(StageBits(5), 3), std::invalid_argument)
+      << "3^5 = 243 colors exceed the 128 limit";
+  EXPECT_THROW((void)color_from_bits({0}, 1), std::invalid_argument);
   EXPECT_THROW((void)final_phase_from_bits({}), std::invalid_argument);
 }
 

